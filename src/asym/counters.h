@@ -6,8 +6,9 @@
 // entire ω sweep.
 //
 // Counting conventions (matching the model):
-//  * Only accesses made through asym::read / asym::write / asym::Array are
-//    counted — these are the algorithm's large-memory accesses.
+//  * Only accesses made through asym::read / asym::write and the bulk
+//    count_read / count_write charges are counted — these are the
+//    algorithm's large-memory accesses.
 //  * Stack locals and bounded scratch buffers model the small symmetric
 //    memory and are never counted.
 //  * Counters are per-thread (padded to a cache line) and aggregated on

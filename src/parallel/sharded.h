@@ -14,38 +14,38 @@
 //    contiguous ranges seeded from a sample of the first insert batch.
 //    Each shard tracks conservative coverage bounds [lo, hi] along the
 //    partition axis (extended on insert, never shrunk by erase, recomputed
-//    exactly on rebalance), and a planner step inside each *_batch wrapper
-//    routes every query only to the shards whose coverage can answer it:
-//    stab point in [lo, hi]; query-rectangle slab against the shard slab;
-//    kNN/ANN best-first — seed the nearest shard by slab distance, then
-//    visit every other shard whose slab distance does not exceed the
-//    current k-th (resp. best) candidate distance. The batch is semisorted
-//    by target-shard set (primitives::semisort), one targeted sub-batch is
-//    issued per shard, and the per-shard slices merge through the same
-//    offset arithmetic as the broadcast path. At commit() the layer
-//    collects per-shard load stats (live records + queries routed since
-//    the previous commit) and rebalances skewed bounds — recomputing the
-//    quantile split points over the live key set (splitting overloaded
-//    ranges, merging underused neighbors) and migrating the records whose
-//    shard changed — before publishing the version.
+//    exactly on rebalance), and the planner routes every query only to the
+//    shards whose coverage can answer it: stab point in [lo, hi];
+//    query-rectangle slab against the shard slab; kNN/ANN best-first —
+//    seed the nearest shard by cover-box distance, then visit every other
+//    shard within the current k-th (resp. best) candidate distance. At
+//    commit() the layer collects per-shard load stats (live records +
+//    queries routed since the previous commit) and rebalances skewed bounds
+//    — recomputing the quantile split points over the live key set
+//    (splitting overloaded ranges, merging underused neighbors) and
+//    migrating the records whose shard changed — before publishing the
+//    version.
 //
 // Queries: every batched query family the structure exposes is re-exposed
-// here. Broadcast (hash) batches go to all S shards in parallel; planned
-// (range) batches go to each query's overlapping-shard set. Either way the
-// per-shard BatchResult slices are merged into one flat result by pure
-// offset arithmetic: merged count(q) = sum over visited shards of
-// count_s(q), an exclusive scan turns the counts into slice offsets, and
-// each merged slice is filled by concatenating the shard slices. Each
-// merged slice is then put into a canonical order — ascending ids for
-// stabbing, lexicographic coordinates for range reports, (distance,
-// coordinates) for kNN/ANN — so the merged result is a function of the
-// *record set* alone: every routing policy, every fanout, and every worker
-// count returns bitwise-identical items (shards a planner prunes provably
-// contribute nothing), and the merge's and planner's asym read/write
-// charges are bulk functions of the batch and slice sizes (the same
-// determinism contract the per-shard engines provide). kNN/ANN merge via a
-// top-k (top-1) reduce over the per-shard candidate slices instead of
-// plain concatenation.
+// here, and each runs one path. The wrapper routes the batch into a Plan —
+// per shard, the sub-batch it answers; per query, the slots its per-shard
+// answers land in. Broadcast is the all-shards plan, built directly (every
+// shard answers the whole batch, visits = nq * S); range routing semisorts
+// the batch by target-shard mask (primitives::semisort) into a planned one.
+// run_planned issues one sub-batch per visited shard in parallel, and the
+// family's merge folds the per-shard slices into one flat result by pure
+// offset arithmetic: merged count(q) = sum over q's slots of count_s(q), an
+// exclusive scan turns the counts into slice offsets, and each merged slice
+// is filled by concatenating the shard slices. Each merged slice is then
+// put into a canonical order — ascending ids for stabbing, lexicographic
+// coordinates for range reports, (distance, coordinates) for kNN/ANN — so
+// the merged result is a function of the *record set* alone: every routing
+// policy, every fanout, and every worker count returns bitwise-identical
+// items (shards a planner prunes provably contribute nothing), and the
+// merge's and planner's asym read/write charges are bulk functions of the
+// batch, the visits and the slice sizes (the same determinism contract the
+// per-shard engines provide). kNN/ANN merge via a top-k (top-1) reduce over
+// the per-shard candidate slices instead of plain concatenation.
 //
 // Epoch API: a serving loop alternates write batches and query batches
 // without external locking by staging updates on the Sharded layer —
@@ -87,6 +87,8 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <numeric>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_set>
@@ -106,8 +108,8 @@
 namespace weg::parallel {
 
 // How records and queries map to shards. kHash spreads records uniformly
-// and broadcasts queries; kRange partitions the ordered key space so the
-// planner can prune shards per query.
+// and broadcasts queries (the all-shards plan); kRange partitions the
+// ordered key space so the planner can prune shards per query.
 enum class Routing { kHash, kRange };
 
 // splitmix64 finalizer: the router's hash. Fanout is typically a small
@@ -434,66 +436,47 @@ class Sharded {
   // All wrappers are member templates constrained on the wrapped structure
   // actually exposing the family, so Sharded<DynamicIntervalTree> has stab
   // entry points and Sharded<LogForest<2>> has the spatial ones. Each
-  // wrapper broadcasts under hash routing and plans under range routing.
+  // wrapper routes its batch into a Plan (the all-shards plan under hash
+  // routing, the planner's under range routing), runs it with run_planned,
+  // and merges the per-shard slices with its family's merge.
 
   template <typename Q>
   auto stab_batch(const std::vector<Q>& qs) const
     requires requires(const Structure& s) { s.stab_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_report(
-          qs.size(), [&](const Structure& s) { return s.stab_batch(qs); },
-          detail::IdLess{});
-    }
-    Plan plan =
-        plan_batch(qs.size(), [&](size_t i) { return stab_mask(qs[i]); });
-    note_plan(plan, qs.size());
-    auto per = run_planned(plan, qs,
-                           [](const Structure& s, const std::vector<Q>& sub) {
-                             return s.stab_batch(sub);
-                           });
-    return merge_planned_report(plan, per, qs.size(), detail::IdLess{});
+    Plan plan = route(qs.size(), [&](size_t i) { return stab_mask(qs[i]); });
+    auto round = run_planned(std::move(plan), qs,
+                             [](const Structure& s, const std::vector<Q>& sub) {
+                               return s.stab_batch(sub);
+                             });
+    return merge_planned_report(round, qs.size(), detail::IdLess{});
   }
 
   template <typename Q>
   auto stab_count_batch(const std::vector<Q>& qs) const
     requires requires(const Structure& s) { s.stab_count_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_count(qs.size(), [&](const Structure& s) {
-        return s.stab_count_batch(qs);
-      });
-    }
-    Plan plan =
-        plan_batch(qs.size(), [&](size_t i) { return stab_mask(qs[i]); });
-    note_plan(plan, qs.size());
-    auto per = run_planned(plan, qs,
-                           [](const Structure& s, const std::vector<Q>& sub) {
-                             return s.stab_count_batch(sub);
-                           });
-    return merge_planned_count(plan, per, qs.size());
+    Plan plan = route(qs.size(), [&](size_t i) { return stab_mask(qs[i]); });
+    auto round = run_planned(std::move(plan), qs,
+                             [](const Structure& s, const std::vector<Q>& sub) {
+                               return s.stab_count_batch(sub);
+                             });
+    return merge_planned_count(round, qs.size());
   }
 
   template <typename B>
   auto range_count_batch(const std::vector<B>& qs) const
     requires requires(const Structure& s) { s.range_count_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_count(qs.size(), [&](const Structure& s) {
-        return s.range_count_batch(qs);
-      });
-    }
     constexpr int d0 = Traits::kSplitDim;
-    // Covered-shard fast path: a query box that fully covers a shard's
-    // cover box is answered by that shard's live-record count up front —
-    // the query is never routed there, so the shard's trees are not read at
-    // all. The remaining (partially overlapping) shards are planned as
-    // before. cover ⊇ live records, so the summed result is exact.
-    std::vector<size_t> covered_base(qs.size(), 0);
-    Plan plan = plan_batch(qs.size(), [&](size_t i) {
+    size_t nq = qs.size();
+    // Covered-shard fast path (planned batches): a query box that fully
+    // covers a shard's cover box is answered by that shard's live-record
+    // count up front — the query is never routed there, so the shard's trees
+    // are not read at all. The remaining (partially overlapping) shards are
+    // planned as before. cover ⊇ live records, so the summed result is exact.
+    std::vector<size_t> covered_base(use_planner() ? nq : 0, 0);
+    Plan plan = route(nq, [&](size_t i) {
       uint64_t m = slab_mask(qs[i].lo[d0], qs[i].hi[d0]);
       uint64_t rest = 0;
       for (size_t s = 0; s < shards_.size(); ++s) {
@@ -506,18 +489,19 @@ class Sharded {
       }
       return rest;
     });
-    // One write per query for its covered-shard base count (the coverage
-    // tests ride plan_batch's nq * S bulk read).
-    asym::count_write(qs.size());
-    note_plan(plan, qs.size());
-    auto per = run_planned(plan, qs,
-                           [](const Structure& s, const std::vector<B>& sub) {
-                             return s.range_count_batch(sub);
-                           });
-    auto out = merge_planned_count(plan, per, qs.size());
-    asym::count_read(qs.size());
-    asym::count_write(qs.size());
-    for (size_t q = 0; q < qs.size(); ++q) out[q] += covered_base[q];
+    auto round = run_planned(std::move(plan), qs,
+                             [](const Structure& s, const std::vector<B>& sub) {
+                               return s.range_count_batch(sub);
+                             });
+    auto out = merge_planned_count(round, nq);
+    if (use_planner()) {
+      // One write per query for its covered-shard base count (the coverage
+      // tests ride plan_batch's nq * S bulk read), then one read + write to
+      // add it in.
+      asym::count_read(nq);
+      asym::count_write(2 * nq);
+      for (size_t q = 0; q < nq; ++q) out[q] += covered_base[q];
+    }
     return out;
   }
 
@@ -525,34 +509,23 @@ class Sharded {
   auto range_report_batch(const std::vector<B>& qs) const
     requires requires(const Structure& s) { s.range_report_batch(qs); }
   {
-    if (!use_planner()) {
-      note_broadcast(qs.size());
-      return merge_report(
-          qs.size(),
-          [&](const Structure& s) { return s.range_report_batch(qs); },
-          detail::CoordLess{});
-    }
     constexpr int d0 = Traits::kSplitDim;
-    Plan plan = plan_batch(qs.size(), [&](size_t i) {
+    Plan plan = route(qs.size(), [&](size_t i) {
       return slab_mask(qs[i].lo[d0], qs[i].hi[d0]);
     });
-    note_plan(plan, qs.size());
-    auto per = run_planned(plan, qs,
-                           [](const Structure& s, const std::vector<B>& sub) {
-                             return s.range_report_batch(sub);
-                           });
-    return merge_planned_report(plan, per, qs.size(), detail::CoordLess{});
+    auto round = run_planned(std::move(plan), qs,
+                             [](const Structure& s, const std::vector<B>& sub) {
+                               return s.range_report_batch(sub);
+                             });
+    return merge_planned_report(round, qs.size(), detail::CoordLess{});
   }
 
   // k-NN: each visited shard reports its min(k, shard-live) nearest
   // candidates in the canonical (distance, coordinates) order; the merge
   // keeps the k best per query, so the merged slice equals the unsharded
-  // structure's min(k, live) nearest in the same order. The planner seeds
-  // each query at its nearest shard (by slab distance along the partition
-  // axis), then visits every other shard whose slab distance does not
-  // exceed the current k-th candidate distance — a pruned shard's every
-  // point is provably farther, so the routed top-k is bitwise-identical to
-  // the broadcast top-k.
+  // structure's min(k, live) nearest in the same order. Routing is
+  // best-first (run_best_first), pruned by the seed's k-th candidate
+  // distance.
   template <typename P>
   auto knn_batch(const std::vector<P>& qs, size_t k) const
     requires requires(const Structure& s) { s.knn_batch(qs, k); }
@@ -562,138 +535,65 @@ class Sharded {
             qs, k))>;
     using T = typename Result::value_type;
     size_t nq = qs.size();
-    if (!use_planner()) {
-      note_broadcast(nq);
-      auto per = run_shards([&](const Structure& s) {
-        return s.knn_batch(qs, k);
-      });
-      if (Status poison = first_poison(per); !poison.ok()) {
+    auto run = [&](const Structure& s, const std::vector<P>& sub) {
+      return s.knn_batch(sub, k);
+    };
+    // Infinity when the seed shard cannot supply k candidates: then no
+    // shard may be pruned.
+    auto kth_d2 = [&](const Result& r, size_t j, const P& q) {
+      if (k > 0 && r.count(j) == k) {
+        return geom::squared_distance(*(r.end(j) - 1), q);
+      }
+      return std::numeric_limits<double>::infinity();
+    };
+    auto rounds = run_best_first(qs, run, kth_d2);
+    size_t visits = 0, gathered = 0;
+    for (const auto& round : rounds) {
+      if (Status poison = first_poison(round.per); !poison.ok()) {
         return BatchResult<T>(std::move(poison));
       }
-      std::vector<size_t> offsets(nq + 1, 0);
-      for (size_t q = 0; q < nq; ++q) {
-        size_t total = 0;
-        for (const Result& r : per) total += r.count(q);
-        offsets[q] = std::min(k, total);
-      }
-      asym::count_read(per.size() * nq);
-      asym::count_write(nq);
-      primitives::scan_exclusive(offsets);
-      std::vector<T> items(offsets[nq]);
-      parallel_for(
-          0, nq,
-          [&](size_t q) {
-            std::vector<std::pair<double, T>> cand;
-            for (const Result& r : per) {
-              for (const T* it = r.begin(q); it != r.end(q); ++it) {
-                cand.emplace_back(geom::squared_distance(*it, qs[q]), *it);
-              }
-            }
-            top_k_into(cand, items.data() + offsets[q],
-                       offsets[q + 1] - offsets[q]);
-          },
-          1);
-      // Candidate gather + winner writes, charged in bulk (deterministic:
-      // slice sizes are functions of the record set and k alone).
-      size_t gathered = 0;
-      for (const Result& r : per) gathered += r.total();
-      asym::count_read(gathered);
-      asym::count_write(items.size());
-      return BatchResult<T>(std::move(items), std::move(offsets));
-    }
-
-    // Round 1: seed each query at its nearest shard by cover-box distance
-    // (ties: lowest id).
-    Plan p0 = plan_batch(nq, [&](size_t i) {
-      return nearest_shard_mask(qs[i]);
-    });
-    note_plan(p0, nq);
-    auto per0 = run_planned(p0, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.knn_batch(sub, k);
-                            });
-    if (Status poison = first_poison(per0); !poison.ok()) {
-      return BatchResult<T>(std::move(poison));
-    }
-    // Current k-th candidate distance per query — infinity when the seed
-    // shard cannot supply k candidates (then no shard may be pruned).
-    std::vector<double> thr(nq, std::numeric_limits<double>::infinity());
-    for (size_t q = 0; q < nq; ++q) {
-      if (p0.entries[q].empty()) continue;
-      auto [s, j] = p0.entries[q][0];
-      if (k > 0 && per0[s].count(j) == k) {
-        thr[q] = geom::squared_distance(*(per0[s].end(j) - 1), qs[q]);
-      }
-    }
-    asym::count_read(nq);
-    asym::count_write(nq);
-    // Round 2: every other shard whose cover box could still hold a
-    // candidate at or below the threshold (<=: a tied candidate can win the
-    // canonical order by coordinates). The bound-driven short-circuit: a
-    // shard whose box is farther than the running k-th candidate distance
-    // is never visited.
-    Plan p1 = plan_batch(nq, [&](size_t i) {
-      uint64_t seed = nearest_shard_mask(qs[i]);
-      uint64_t m = 0;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if ((seed >> s) & 1) continue;
-        if (!shard_live(s)) continue;
-        if (cover_d2(s, qs[i]) <= thr[i]) m |= uint64_t{1} << s;
-      }
-      return m;
-    });
-    note_plan(p1, 0);
-    auto per1 = run_planned(p1, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.knn_batch(sub, k);
-                            });
-    if (Status poison = first_poison(per1); !poison.ok()) {
-      return BatchResult<T>(std::move(poison));
+      visits += round.plan.visits;
+      for (const Result& r : round.per) gathered += r.total();
     }
 
     std::vector<size_t> offsets(nq + 1, 0);
     for (size_t q = 0; q < nq; ++q) {
       size_t total = 0;
-      for (auto [s, j] : p0.entries[q]) total += per0[s].count(j);
-      for (auto [s, j] : p1.entries[q]) total += per1[s].count(j);
+      auto add = [&](const Result& r, size_t j) { total += r.count(j); };
+      for_each_answer(rounds, q, add);
       offsets[q] = std::min(k, total);
     }
-    asym::count_read(p0.visits + p1.visits);
+    asym::count_read(visits);
     asym::count_write(nq);
     primitives::scan_exclusive(offsets);
     std::vector<T> items(offsets[nq]);
     parallel_for(
         0, nq,
         [&](size_t q) {
+          T* out = items.data() + offsets[q];
           // Single-shard pass-through: with exactly one visited shard, that
           // shard's slice already is the merged answer in canonical order —
           // copy it, skipping the distance recompute and the merge sort.
-          if (p0.entries[q].size() + p1.entries[q].size() == 1) {
-            const Plan& plan = p0.entries[q].empty() ? p1 : p0;
-            const std::vector<Result>& per =
-                p0.entries[q].empty() ? per1 : per0;
-            auto [s, j] = plan.entries[q][0];
-            std::copy(per[s].begin(j), per[s].end(j),
-                      items.data() + offsets[q]);
+          size_t visited = 0;
+          auto visit = [&](const Result&, size_t) { ++visited; };
+          for_each_answer(rounds, q, visit);
+          if (visited == 1) {
+            for_each_answer(rounds, q, [&](const Result& r, size_t j) {
+              std::copy(r.begin(j), r.end(j), out);
+            });
             return;
           }
           std::vector<std::pair<double, T>> cand;
-          auto gather = [&](const Plan& plan, const std::vector<Result>& per) {
-            for (auto [s, j] : plan.entries[q]) {
-              for (const T* it = per[s].begin(j); it != per[s].end(j); ++it) {
-                cand.emplace_back(geom::squared_distance(*it, qs[q]), *it);
-              }
+          for_each_answer(rounds, q, [&](const Result& r, size_t j) {
+            for (const T* it = r.begin(j); it != r.end(j); ++it) {
+              cand.emplace_back(geom::squared_distance(*it, qs[q]), *it);
             }
-          };
-          gather(p0, per0);
-          gather(p1, per1);
-          top_k_into(cand, items.data() + offsets[q],
-                     offsets[q + 1] - offsets[q]);
+          });
+          top_k_into(cand, out, offsets[q + 1] - offsets[q]);
         },
         1);
-    size_t gathered = 0;
-    for (const Result& r : per0) gathered += r.total();
-    for (const Result& r : per1) gathered += r.total();
+    // Candidate gather + winner writes, charged in bulk (deterministic:
+    // slice sizes are functions of the record set and k alone).
     asym::count_read(gathered);
     asym::count_write(items.size());
     return BatchResult<T>(std::move(items), std::move(offsets));
@@ -701,10 +601,10 @@ class Sharded {
 
   // ANN: top-1 reduce — the best shard answer by (distance, coordinates).
   // Each shard answer is a (1+eps)-ANN of its subset, so the reduced answer
-  // is a (1+eps)-ANN of the union; eps = 0 gives the exact NN. The planner
-  // seeds at the nearest shard and visits only shards whose slab distance
-  // does not exceed the seed answer's distance — a pruned shard's answer
-  // would lose the reduce, so the routed answer equals the broadcast one.
+  // is a (1+eps)-ANN of the union; eps = 0 gives the exact NN. Routing is
+  // best-first (run_best_first), pruned by the seed answer's distance — a
+  // pruned shard's answer would lose the reduce, so the routed answer
+  // equals the broadcast one.
   template <typename P>
   auto ann_batch(const std::vector<P>& qs, double eps = 0.0) const
     requires requires(const Structure& s) { s.ann_batch(qs, eps); }
@@ -713,79 +613,35 @@ class Sharded {
         std::decay_t<decltype(std::declval<const Structure&>().ann_batch(
             qs, eps))>;
     size_t nq = qs.size();
-    auto better = [&](const typename Vec::value_type& alt,
-                      const typename Vec::value_type& cur, const P& q) {
-      if (!alt.has_value()) return false;
-      if (!cur.has_value()) return true;
-      double da = geom::squared_distance(*alt, q);
-      double dc = geom::squared_distance(*cur, q);
-      return da < dc || (da == dc && (*alt).coords < (*cur).coords);
+    auto dist = [](const typename Vec::value_type& a, const P& q) {
+      if (!a.has_value()) return std::numeric_limits<double>::infinity();
+      return geom::squared_distance(*a, q);
     };
-    if (!use_planner()) {
-      note_broadcast(nq);
-      auto per = run_shards([&](const Structure& s) {
-        return s.ann_batch(qs, eps);
-      });
-      Vec out(nq);
-      parallel_for(
-          0, nq,
-          [&](size_t q) {
-            for (const Vec& v : per) {
-              if (better(v[q], out[q], qs[q])) out[q] = v[q];
-            }
-          },
-          1);
-      asym::count_read(per.size() * nq);
-      asym::count_write(nq);
-      return out;
-    }
-
-    Plan p0 = plan_batch(nq, [&](size_t i) {
-      return nearest_shard_mask(qs[i]);
-    });
-    note_plan(p0, nq);
-    auto per0 = run_planned(p0, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.ann_batch(sub, eps);
-                            });
-    std::vector<double> thr(nq, std::numeric_limits<double>::infinity());
-    for (size_t q = 0; q < nq; ++q) {
-      if (p0.entries[q].empty()) continue;
-      auto [s, j] = p0.entries[q][0];
-      if (per0[s][j].has_value()) {
-        thr[q] = geom::squared_distance(*per0[s][j], qs[q]);
-      }
-    }
-    asym::count_read(nq);
-    asym::count_write(nq);
-    Plan p1 = plan_batch(nq, [&](size_t i) {
-      uint64_t seed = nearest_shard_mask(qs[i]);
-      uint64_t m = 0;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if ((seed >> s) & 1) continue;
-        if (!shard_live(s)) continue;
-        if (cover_d2(s, qs[i]) <= thr[i]) m |= uint64_t{1} << s;
-      }
-      return m;
-    });
-    note_plan(p1, 0);
-    auto per1 = run_planned(p1, qs,
-                            [&](const Structure& s, const std::vector<P>& sub) {
-                              return s.ann_batch(sub, eps);
-                            });
+    auto run = [&](const Structure& s, const std::vector<P>& sub) {
+      return s.ann_batch(sub, eps);
+    };
+    auto seed_d2 = [&](const Vec& r, size_t j, const P& q) {
+      return dist(r[j], q);
+    };
+    auto rounds = run_best_first(qs, run, seed_d2);
     Vec out(nq);
     parallel_for(
         0, nq,
         [&](size_t q) {
-          for (auto [s, j] : p0.entries[q]) {
-            if (better(per0[s][j], out[q], qs[q])) out[q] = per0[s][j];
-          }
-          for (auto [s, j] : p1.entries[q]) {
-            if (better(per1[s][j], out[q], qs[q])) out[q] = per1[s][j];
-          }
+          for_each_answer(rounds, q, [&](const Vec& r, size_t j) {
+            const auto& alt = r[j];
+            if (!alt.has_value()) return;
+            double da = dist(alt, qs[q]), dc = dist(out[q], qs[q]);
+            if (!out[q].has_value() || da < dc ||
+                (da == dc && (*alt).coords < (*out[q]).coords)) {
+              out[q] = alt;
+            }
+          });
         },
         1);
-    asym::count_read(p0.visits + p1.visits);
+    size_t visits = 0;
+    for (const auto& round : rounds) visits += round.plan.visits;
+    asym::count_read(visits);
     asym::count_write(nq);
     return out;
   }
@@ -889,15 +745,61 @@ class Sharded {
 
   // A routed batch: per shard, the (deterministic) list of query indices
   // it must answer; per query, the (shard, sub-batch position) slots where
-  // its per-shard answers land. Built by semisorting the batch by
-  // target-shard mask, so queries sharing a shard set are contiguous and
-  // each group is emitted into its shards' sub-batches in one run.
+  // its per-shard answers land, stored flat — query q owns
+  // slots[first[q] .. first[q + 1]), in ascending shard order. `visits` is
+  // the total slot count, which the merges charge for.
+  struct Slot {
+    uint32_t shard;
+    uint32_t pos;
+  };
   struct Plan {
+    // Empty in the all-shards plan: every shard answers the whole batch.
     std::vector<std::vector<uint32_t>> shard_queries;
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> entries;
+    std::vector<Slot> slots;
+    std::vector<size_t> first;
     size_t visits = 0;
+    bool all_shards = false;
+
+    std::span<const Slot> slots_of(size_t q) const {
+      return {slots.data() + first[q], slots.data() + first[q + 1]};
+    }
+    size_t sub_batch_size(size_t s) const {
+      return all_shards ? first.size() - 1 : shard_queries[s].size();
+    }
   };
 
+  // Routes one batch and records it in the routing telemetry: the
+  // all-shards plan under broadcast, else plan_batch over mask_of.
+  template <typename MaskFn>
+  Plan route(size_t nq, MaskFn&& mask_of) const {
+    Plan plan = use_planner() ? plan_batch(nq, mask_of) : all_shards_plan(nq);
+    note_plan(plan, nq);
+    return plan;
+  }
+
+  // Hash-routed broadcast as a plan: query q sits at position q of every
+  // shard's sub-batch. Built directly — no masks (hash fanout is not capped
+  // at 64), no semisort, and no planner charges; visits = nq * S.
+  Plan all_shards_plan(size_t nq) const {
+    size_t S = shards_.size();
+    Plan plan;
+    plan.all_shards = true;
+    plan.visits = nq * S;
+    plan.slots.resize(plan.visits);
+    plan.first.resize(nq + 1);
+    for (size_t q = 0; q <= nq; ++q) plan.first[q] = q * S;
+    for (size_t q = 0; q < nq; ++q) {
+      for (uint32_t s = 0; s < S; ++s) {
+        plan.slots[q * S + s] = {s, static_cast<uint32_t>(q)};
+      }
+    }
+    return plan;
+  }
+
+  // The planner's plan: mask_of(i) is query i's 64-bit target-shard set.
+  // The batch is semisorted by mask, so queries sharing a shard set are
+  // contiguous and each group is emitted into its shards' sub-batches in one
+  // run.
   template <typename MaskFn>
   Plan plan_batch(size_t nq, MaskFn&& mask_of) const {
     size_t S = shards_.size();
@@ -906,10 +808,16 @@ class Sharded {
       uint64_t mask;
     };
     std::vector<QM> qm(nq);
+    Plan plan;
+    plan.first.assign(nq + 1, 0);
     for (size_t i = 0; i < nq; ++i) {
       qm[i].q = static_cast<uint32_t>(i);
       qm[i].mask = mask_of(i);
+      plan.first[i] = static_cast<size_t>(std::popcount(qm[i].mask));
     }
+    std::exclusive_scan(plan.first.begin(), plan.first.end(),
+                        plan.first.begin(), size_t{0});
+    plan.visits = plan.first[nq];
     // Planner bookkeeping is bulk-charged: every query tests every shard's
     // bounds (nq * S reads, nq mask writes), and each (query, shard)
     // routing slot is written once (visits reads + writes below) — all
@@ -923,23 +831,19 @@ class Sharded {
     // without any local sort.
     auto groups =
         primitives::semisort_by(qm, [](const QM& x) { return x.mask; });
-    Plan plan;
     plan.shard_queries.assign(S, {});
-    plan.entries.assign(nq, {});
+    plan.slots.resize(plan.visits);
+    std::vector<size_t> fill(plan.first.begin(), plan.first.end() - 1);
     for (size_t g = 0; g + 1 < groups.size(); ++g) {
       uint64_t mask = qm[groups[g]].mask;
-      if (mask == 0) continue;
-      for (size_t s = 0; s < S; ++s) {
+      for (uint32_t s = 0; s < S; ++s) {
         if (!((mask >> s) & 1)) continue;
+        std::vector<uint32_t>& sub = plan.shard_queries[s];
         for (size_t i = groups[g]; i < groups[g + 1]; ++i) {
-          plan.entries[qm[i].q].push_back(
-              {static_cast<uint32_t>(s),
-               static_cast<uint32_t>(plan.shard_queries[s].size())});
-          plan.shard_queries[s].push_back(qm[i].q);
+          plan.slots[fill[qm[i].q]++] = {s, static_cast<uint32_t>(sub.size())};
+          sub.push_back(qm[i].q);
         }
       }
-      plan.visits += static_cast<size_t>(std::popcount(mask)) *
-                     (groups[g + 1] - groups[g]);
     }
     asym::count_read(plan.visits);
     asym::count_write(plan.visits);
@@ -952,20 +856,9 @@ class Sharded {
       planner_queries_.fetch_add(new_queries, std::memory_order_relaxed);
     }
     for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!plan.shard_queries[s].empty()) {
-        queries_routed_[s].fetch_add(plan.shard_queries[s].size(),
-                                     std::memory_order_relaxed);
+      if (size_t n = plan.sub_batch_size(s); n > 0) {
+        queries_routed_[s].fetch_add(n, std::memory_order_relaxed);
       }
-    }
-  }
-
-  void note_broadcast(size_t nq) const {
-    if (nq == 0) return;
-    planner_visits_.fetch_add(nq * shards_.size(),
-                              std::memory_order_relaxed);
-    planner_queries_.fetch_add(nq, std::memory_order_relaxed);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      queries_routed_[s].fetch_add(nq, std::memory_order_relaxed);
     }
   }
 
@@ -988,24 +881,91 @@ class Sharded {
     }
   }
 
+  // One routed round: its plan and the per-shard results it produced.
+  template <typename R>
+  struct Round {
+    Plan plan;
+    std::vector<R> per;
+  };
+
   template <typename Q, typename RunSub>
-  auto run_planned(const Plan& plan, const std::vector<Q>& qs,
-                   RunSub&& run) const {
+  auto run_planned(Plan plan, const std::vector<Q>& qs, RunSub&& run) const {
     using R =
         std::invoke_result_t<RunSub&, const Structure&, const std::vector<Q>&>;
-    std::vector<R> per(shards_.size());
+    Round<R> round{std::move(plan), std::vector<R>(shards_.size())};
     parallel_for(
         0, shards_.size(),
         [&](size_t s) {
-          const std::vector<uint32_t>& qidx = plan.shard_queries[s];
-          if (qidx.empty()) return;
-          std::vector<Q> sub(qidx.size());
-          for (size_t j = 0; j < qidx.size(); ++j) sub[j] = qs[qidx[j]];
-          per[s] = run(shards_[s], sub);
-          maybe_poison(per[s], s);
+          const Plan& p = round.plan;
+          if (p.sub_batch_size(s) == 0) return;
+          if (p.all_shards) {
+            round.per[s] = run(shards_[s], qs);
+          } else {
+            const std::vector<uint32_t>& qidx = p.shard_queries[s];
+            std::vector<Q> sub(qidx.size());
+            for (size_t j = 0; j < qidx.size(); ++j) sub[j] = qs[qidx[j]];
+            round.per[s] = run(shards_[s], sub);
+          }
+          maybe_poison(round.per[s], s);
         },
         1);
-    return per;
+    return round;
+  }
+
+  // Calls fn(result, pos) for every per-shard answer of query q, over every
+  // round, in round then ascending shard order.
+  template <typename R, typename Fn>
+  static void for_each_answer(const std::vector<Round<R>>& rounds, size_t q,
+                              Fn&& fn) {
+    for (const Round<R>& round : rounds) {
+      for (Slot sl : round.plan.slots_of(q)) fn(round.per[sl.shard], sl.pos);
+    }
+  }
+
+  // Best-first routing for the nearest-neighbor families (kNN, ANN). Round
+  // 1 seeds each query at its nearest live shard by cover-box distance
+  // (ties: lowest id). bound(result, pos, q) turns the seed answer at slot
+  // `pos` into the query's pruning threshold, a squared distance (infinity
+  // prunes nothing). Round 2 visits every other live shard whose cover box
+  // lies within the threshold (<=: a tied candidate can win the canonical
+  // order by coordinates), so a pruned shard's every point is provably
+  // farther — the routed answer equals the broadcast one. Under broadcast
+  // the seed round is the all-shards plan and there is no round 2; a
+  // poisoned seed round also ends the search.
+  template <typename P, typename RunSub, typename Bound>
+  auto run_best_first(const std::vector<P>& qs, RunSub&& run,
+                      Bound&& bound) const {
+    using R =
+        std::invoke_result_t<RunSub&, const Structure&, const std::vector<P>&>;
+    size_t nq = qs.size();
+    Plan seeds = route(nq, [&](size_t i) { return nearest_shard_mask(qs[i]); });
+    std::vector<Round<R>> rounds;
+    rounds.push_back(run_planned(std::move(seeds), qs, run));
+    const Round<R>& seed = rounds[0];
+    if (!use_planner() || !first_poison(seed.per).ok()) return rounds;
+
+    std::vector<double> thr(nq, std::numeric_limits<double>::infinity());
+    for (size_t q = 0; q < nq; ++q) {
+      for (Slot sl : seed.plan.slots_of(q)) {
+        thr[q] = bound(seed.per[sl.shard], sl.pos, qs[q]);
+      }
+    }
+    asym::count_read(nq);
+    asym::count_write(nq);
+    Plan next = plan_batch(nq, [&](size_t i) {
+      std::span<const Slot> sl = seed.plan.slots_of(i);
+      uint64_t m = 0;
+      for (size_t s = 0; s < shards_.size(); ++s) {
+        if (!sl.empty() && s == sl[0].shard) continue;
+        if (shard_live(s) && cover_d2(s, qs[i]) <= thr[i]) {
+          m |= uint64_t{1} << s;
+        }
+      }
+      return m;
+    });
+    note_plan(next, 0);
+    rounds.push_back(run_planned(std::move(next), qs, run));
+    return rounds;
   }
 
   // First non-OK status across the per-shard results (lowest shard id, so
@@ -1021,15 +981,17 @@ class Sharded {
   }
 
   template <typename Result, typename Less>
-  auto merge_planned_report(const Plan& plan, const std::vector<Result>& per,
-                            size_t nq, Less less) const {
+  auto merge_planned_report(const Round<Result>& round, size_t nq,
+                            Less less) const {
     using T = typename Result::value_type;
+    const Plan& plan = round.plan;
+    const auto& per = round.per;
     if (Status poison = first_poison(per); !poison.ok()) {
       return BatchResult<T>(std::move(poison));
     }
     std::vector<size_t> offsets(nq + 1, 0);
     for (size_t q = 0; q < nq; ++q) {
-      for (auto [s, j] : plan.entries[q]) offsets[q] += per[s].count(j);
+      for (auto [s, j] : plan.slots_of(q)) offsets[q] += per[s].count(j);
     }
     asym::count_read(plan.visits);
     asym::count_write(nq);
@@ -1039,7 +1001,7 @@ class Sharded {
         0, nq,
         [&](size_t q) {
           T* out = items.data() + offsets[q];
-          for (auto [s, j] : plan.entries[q]) {
+          for (auto [s, j] : plan.slots_of(q)) {
             out = std::copy(per[s].begin(j), per[s].end(j), out);
           }
           std::sort(items.data() + offsets[q], out, less);
@@ -1054,13 +1016,14 @@ class Sharded {
   }
 
   std::vector<size_t> merge_planned_count(
-      const Plan& plan, const std::vector<std::vector<size_t>>& per,
-      size_t nq) const {
+      const Round<std::vector<size_t>>& round, size_t nq) const {
+    const Plan& plan = round.plan;
+    const auto& per = round.per;
     std::vector<size_t> out(nq, 0);
     parallel_for(
         0, nq,
         [&](size_t q) {
-          for (auto [s, j] : plan.entries[q]) out[q] += per[s][j];
+          for (auto [s, j] : plan.slots_of(q)) out[q] += per[s][j];
         },
         1);
     asym::count_read(plan.visits);
@@ -1093,9 +1056,6 @@ class Sharded {
     }
     return sp;
   }
-  void set_splits(const std::vector<double>& sorted_keys) {
-    splits_ = quantile_splits(sorted_keys);
-  }
 
   // Seeds the range partition from the first non-empty insert batch: a
   // deterministic evenly-strided sample of its partition keys, sorted, cut
@@ -1110,7 +1070,7 @@ class Sharded {
       keys[i] = Traits::partition_key(recs[i * n / sample]);
     }
     std::sort(keys.begin(), keys.end());
-    set_splits(keys);
+    splits_ = quantile_splits(keys);
     bounds_built_ = true;
     asym::count_read(sample);
     asym::count_write(splits_.size() + 1);
@@ -1121,9 +1081,6 @@ class Sharded {
       c.lo[d] = std::min(c.lo[d], Traits::cover_lo(r, d));
       c.hi[d] = std::max(c.hi[d], Traits::cover_hi(r, d));
     }
-  }
-  void extend_cover(size_t s, const Record& r) {
-    extend_cover_with(cover_[s], r);
   }
 
   static constexpr uint64_t kRebalanceSlack = 64;
@@ -1216,7 +1173,7 @@ class Sharded {
     if (routing_ != Routing::kRange || !bounds_built_ || by.empty()) return;
     size_t n = 0;
     for (size_t s = 0; s < by.size(); ++s) {
-      for (const Record& r : by[s]) extend_cover(s, r);
+      for (const Record& r : by[s]) extend_cover_with(cover_[s], r);
       n += by[s].size();
     }
     if (n == 0) return;
@@ -1371,75 +1328,6 @@ class Sharded {
       total += erased[s];
     }
     return total;
-  }
-
-  // Runs one shard-level call on every shard concurrently (each call is
-  // itself parallel inside via the two-phase engine; the scheduler nests
-  // fork-join freely). Slot s is written by shard s alone.
-  template <typename Run>
-  auto run_shards(Run&& run) const {
-    using R = std::invoke_result_t<Run&, const Structure&>;
-    std::vector<R> per(shards_.size());
-    parallel_for(
-        0, shards_.size(),
-        [&](size_t s) {
-          per[s] = run(shards_[s]);
-          maybe_poison(per[s], s);
-        },
-        1);
-    return per;
-  }
-
-  // Counting family: merged count(q) = sum over shards.
-  template <typename Run>
-  std::vector<size_t> merge_count(size_t nq, Run&& run) const {
-    auto per = run_shards(run);
-    std::vector<size_t> out(nq, 0);
-    parallel_for(
-        0, nq,
-        [&](size_t q) {
-          for (const std::vector<size_t>& v : per) out[q] += v[q];
-        },
-        1);
-    asym::count_read(per.size() * nq);
-    asym::count_write(nq);
-    return out;
-  }
-
-  // Reporting family: offset-arithmetic concatenation of the shard slices,
-  // then the canonical per-slice sort.
-  template <typename Run, typename Less>
-  auto merge_report(size_t nq, Run&& run, Less less) const {
-    using Result = std::invoke_result_t<Run&, const Structure&>;
-    using T = typename Result::value_type;
-    auto per = run_shards(run);
-    if (Status poison = first_poison(per); !poison.ok()) {
-      return BatchResult<T>(std::move(poison));
-    }
-    std::vector<size_t> offsets(nq + 1, 0);
-    for (size_t q = 0; q < nq; ++q) {
-      for (const Result& r : per) offsets[q] += r.count(q);
-    }
-    asym::count_read(per.size() * nq);
-    asym::count_write(nq);
-    primitives::scan_exclusive(offsets);
-    std::vector<T> items(offsets[nq]);
-    parallel_for(
-        0, nq,
-        [&](size_t q) {
-          T* out = items.data() + offsets[q];
-          for (const Result& r : per) {
-            out = std::copy(r.begin(q), r.end(q), out);
-          }
-          std::sort(items.data() + offsets[q], out, less);
-        },
-        1);
-    // One read + write per item for the concatenation and one more pair for
-    // the canonicalizing sort pass, charged in bulk — a function of the
-    // slice sizes alone, identical at every fanout and worker count.
-    asym::count_read(2 * items.size());
-    asym::count_write(2 * items.size());
-    return BatchResult<T>(std::move(items), std::move(offsets));
   }
 
   std::vector<Structure> shards_;

@@ -1,9 +1,7 @@
 // Asymmetric-memory simulation tests: counting correctness, region deltas,
-// parallel aggregation, the instrumented array, and the ω-parameterized work
-// formula.
+// parallel aggregation, and the ω-parameterized work formula.
 #include <gtest/gtest.h>
 
-#include "src/asym/array.h"
 #include "src/asym/counters.h"
 #include "src/parallel/parallel_for.h"
 
@@ -68,43 +66,6 @@ TEST(Counters, NestedRegionsCompose) {
     EXPECT_EQ(inner.delta().reads, 7u);
   }
   EXPECT_EQ(outer.delta().reads, 12u);
-}
-
-TEST(Array, InitializationCountsWrites) {
-  Region r;
-  Array<int> a(100, 42);
-  EXPECT_EQ(r.delta().writes, 100u);
-  EXPECT_EQ(a.size(), 100u);
-  EXPECT_EQ(a.peek(50), 42);
-}
-
-TEST(Array, GetSetCounting) {
-  Array<int> a(10);
-  Region r;
-  a.set(3, 7);
-  int v = a.get(3);
-  EXPECT_EQ(v, 7);
-  auto d = r.delta();
-  EXPECT_EQ(d.reads, 1u);
-  EXPECT_EQ(d.writes, 1u);
-}
-
-TEST(Array, PeekAndRawAreUncounted) {
-  Array<int> a(10);
-  a.raw(2) = 9;
-  Region r;
-  EXPECT_EQ(a.peek(2), 9);
-  EXPECT_EQ(r.delta().reads, 0u);
-  EXPECT_EQ(r.delta().writes, 0u);
-}
-
-TEST(Array, PushBackCounted) {
-  Array<int> a;
-  Region r;
-  a.push_back_counted(1);
-  a.push_back_counted(2);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(r.delta().writes, 2u);
 }
 
 }  // namespace

@@ -109,6 +109,15 @@ TEST(PlannerEquality, StabRoutedVsBroadcastVsUnsharded) {
       EXPECT_EQ(r.result(i), sorted_ids(oracle.stab(qs[i])));
       EXPECT_EQ(rc[i], oracle.stab_count(qs[i]));
     }
+    // The empty batch is one more input: an OK, empty answer under both
+    // routings.
+    const std::vector<double> none;
+    for (const auto* layer : {&routed, &broadcast}) {
+      auto empty = layer->stab_batch(none);
+      EXPECT_TRUE(empty.ok());
+      EXPECT_EQ(empty.num_queries(), 0u);
+      EXPECT_TRUE(layer->stab_count_batch(none).empty());
+    }
   }
 }
 
@@ -153,6 +162,19 @@ TEST(PlannerEquality, ForestRoutedVsBroadcastVsUnsharded) {
       ASSERT_TRUE(ann_r[i].has_value());
       EXPECT_EQ(ann_r[i], ann_b[i]);
       EXPECT_EQ(*ann_r[i], oracle.knn(nnq[i], 1).front());
+    }
+
+    const std::vector<geom::Box2> no_boxes;
+    const std::vector<geom::Point2> no_points;
+    for (const auto* layer : {&routed, &broadcast}) {
+      auto rep0 = layer->range_report_batch(no_boxes);
+      auto knn0 = layer->knn_batch(no_points, k);
+      EXPECT_TRUE(rep0.ok());
+      EXPECT_TRUE(knn0.ok());
+      EXPECT_EQ(rep0.num_queries(), 0u);
+      EXPECT_EQ(knn0.num_queries(), 0u);
+      EXPECT_TRUE(layer->range_count_batch(no_boxes).empty());
+      EXPECT_TRUE(layer->ann_batch(no_points, 0.0).empty());
     }
   }
 }

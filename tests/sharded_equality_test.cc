@@ -35,7 +35,9 @@ using kdtree::LogForest;
 using parallel::Sharded;
 
 constexpr size_t kN = 30000;  // above the ~2k sequential cutoff
-const size_t kFanouts[] = {1, 2, 4, 8};
+// 65 is past the 64 shards a 64-bit shard-set mask can name: hash-routed
+// broadcast must not be built from masks.
+const size_t kFanouts[] = {1, 2, 4, 8, 65};
 
 std::vector<Interval> fixed_intervals(size_t n, uint64_t seed) {
   primitives::Rng rng(seed);
@@ -101,6 +103,12 @@ TEST(ShardedEquality, StabBatchAllFanouts) {
       EXPECT_EQ(counts[i], oracle.stab_count(qs[i]));
       EXPECT_EQ(batch.count(i), counts[i]);
     }
+    // The empty batch is one more input: an OK, empty answer.
+    const std::vector<double> none;
+    auto empty = sharded.stab_batch(none);
+    EXPECT_TRUE(empty.ok());
+    EXPECT_EQ(empty.num_queries(), 0u);
+    EXPECT_TRUE(sharded.stab_count_batch(none).empty());
   }
 }
 
@@ -155,6 +163,17 @@ TEST(ShardedEquality, ForestRangeKnnAnnAllFanouts) {
       EXPECT_EQ(*ann[i], oracle.knn(nnq[i], 1).front());
       EXPECT_EQ(knn.result(i).front(), *ann[i]);
     }
+
+    const std::vector<geom::Box2> no_boxes;
+    const std::vector<geom::Point2> no_points;
+    auto rep0 = sharded.range_report_batch(no_boxes);
+    auto knn0 = sharded.knn_batch(no_points, k);
+    EXPECT_TRUE(rep0.ok());
+    EXPECT_TRUE(knn0.ok());
+    EXPECT_EQ(rep0.num_queries(), 0u);
+    EXPECT_EQ(knn0.num_queries(), 0u);
+    EXPECT_TRUE(sharded.range_count_batch(no_boxes).empty());
+    EXPECT_TRUE(sharded.ann_batch(no_points, 0.0).empty());
   }
 }
 
@@ -393,6 +412,16 @@ TEST(ShardedEquality, BulkOpsAndShardedBatchGoldenCounts) {
     EXPECT_EQ(c.reads, 460387u);
     EXPECT_EQ(c.writes, 294247u);
   }
+  // Hash-routed count and ANN charges: the merges over the all-shards plan
+  // charge nq * S slot reads and nq writes, and no planner bookkeeping.
+  {
+    asym::Region region;
+    auto r = si.stab_count_batch(sq);
+    auto c = region.delta();
+    EXPECT_EQ(r.size(), sq.size());
+    EXPECT_EQ(c.reads, 132677u);
+    EXPECT_EQ(c.writes, 1000u);
+  }
 
   Sharded<LogForest<2>> sf(4);
   ASSERT_TRUE(sf.bulk_insert(pts).ok());
@@ -411,6 +440,22 @@ TEST(ShardedEquality, BulkOpsAndShardedBatchGoldenCounts) {
     // result slices are written once).
     EXPECT_EQ(c.reads, 129326u);
     EXPECT_EQ(c.writes, 54528u);
+  }
+  {
+    asym::Region region;
+    auto r = sf.range_count_batch(boxes);
+    auto c = region.delta();
+    EXPECT_EQ(r.size(), boxes.size());
+    EXPECT_EQ(c.reads, 35262u);
+    EXPECT_EQ(c.writes, 480u);
+  }
+  {
+    asym::Region region;
+    auto r = sf.ann_batch(nnq, 0.0);
+    auto c = region.delta();
+    EXPECT_EQ(r.size(), nnq.size());
+    EXPECT_EQ(c.reads, 5763u);
+    EXPECT_EQ(c.writes, 320u);
   }
 }
 
