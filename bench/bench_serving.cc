@@ -6,9 +6,8 @@
 // shard fanout (1/2/4/8) x offered load (64/256/1024); counters carry
 //   p50_us / p95_us / p99_us  request latency percentiles over the run,
 //   overlap_ratio             query batches served while a commit was in
-//                             flight on the twin replica (the pipelining
-//                             evidence: > 0 means reads did not stall on
-//                             writes),
+//                             flight (the pipelining evidence: > 0 means
+//                             reads did not stall on writes),
 //   rejected_fraction         admission-control rejects / offered,
 // and items_per_second is completed requests/sec. Engines are cached per
 // fanout and started once — batcher + committer are scheduler-external root
@@ -194,7 +193,7 @@ int main(int argc, char** argv) {
   weg::bench::banner(
       "Asynchronous serving engine (latency percentiles vs offered load)",
       "Open-loop mixed traffic through the pipelined engine: bounded "
-      "admission queues, size/deadline batching, and double-buffered epoch "
+      "admission queues, size/deadline batching, and versioned epoch "
       "commits overlapping query batches (overlap_ratio > 0 means reads "
       "did not stall on writes); fanout 1 is the single-shard baseline.");
   benchmark::Initialize(&argc, argv);

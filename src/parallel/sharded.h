@@ -54,27 +54,43 @@
 // batch by shard, applies every shard's bulk_insert + bulk_erase in
 // parallel (insertions first, then erasures), and publishes the next
 // version. A commit with nothing staged publishes nothing: version() is
-// unchanged. Queries issued between commits read the last committed
-// snapshot: staged records are invisible until their commit, so query
-// batches may be freely interleaved with staging. The serving loop itself
-// sequences commit() against in-flight query batches (phases, not locks);
-// everything inside a phase parallelizes on the scheduler.
+// unchanged. Staged records are invisible until their commit, so query
+// batches may be freely interleaved with staging.
 //
-// Transactional commit: commit() returns Expected<Version> and is
-// all-or-nothing. Staged records are validated up front (finite
-// coordinates, l <= r, no duplicate ids within an epoch); then every shard
-// with work applies its sub-batches to a shadow clone, and the clones are
-// published — by move, shard by shard — only after every shard succeeded.
-// Any failure (validation, a structure-level error such as an id already
-// live, an injected fault, or std::bad_alloc mid-apply) rolls the commit
-// back: version() is unchanged, every shard still holds its epoch-N state,
-// and queries return bitwise-identical results to the pre-commit snapshot.
-// The staged buffers are kept on failure so a caller can repair and retry,
-// or drop them with discard_staged(). When several shards fail in one
-// transaction, the reported Status is the lowest-numbered shard's
-// (deterministic at every worker count). bulk_insert / bulk_erase run the
-// same transaction, and commit-time rebalancing migrates records through
-// it too (a failed migration skips the rebalance and keeps the commit).
+// Versions: everything a query reads — one shared_ptr<const Structure> per
+// shard, the range partition's split points and coverage bounds, and the
+// version number — is one immutable ShardedVersion. The layer publishes
+// one Version at a time by a pointer swap, and snapshot() pins the
+// published one (a ShardedSnapshot is a shared_ptr<const ShardedVersion>).
+// A commit copies the current Version, replaces only the shards its batch
+// touches with applied clones — every untouched shard is shared by pointer
+// with the previous Version, so the epoch writes only what changed — and
+// publishes the copy. A pinned snapshot therefore keeps answering from its
+// own Version across any number of later commits, and the superseded
+// Version is freed by whichever thread drops the last reference to it (the
+// committing writer, or a reader whose snapshot outlived the commit).
+// Concurrency contract: one writer (the staging, commit and bulk calls)
+// and any number of concurrent readers (snapshot() and the query
+// wrappers, which each pin the published Version for the whole batch, so
+// a batch and the version it reports always agree). Staged buffers and
+// the routing telemetry live on Sharded, not on the Version.
+//
+// Transactional commit: commit() returns Expected<uint64_t> (the published
+// version number) and is all-or-nothing. Staged records are validated up
+// front (finite coordinates, l <= r, no duplicate ids within an epoch);
+// then every shard with work applies its sub-batches to a shadow clone
+// inside the unpublished next Version, which is published only after every
+// shard succeeded. Any failure (validation, a structure-level error such as an
+// id already live, an injected fault, or std::bad_alloc mid-apply) drops
+// the unpublished Version: version() is unchanged, the published Version
+// is the same object, and queries return bitwise-identical results to the
+// pre-commit snapshot. The staged buffers are kept on failure so a caller
+// can repair and retry, or drop them with discard_staged(). When several
+// shards fail in one transaction, the reported Status is the lowest-
+// numbered shard's (deterministic at every worker count). bulk_insert /
+// bulk_erase run the same transaction, and commit-time rebalancing is its
+// own transaction against the unpublished Version (a failed migration
+// skips the rebalance and keeps the commit).
 #pragma once
 
 #include <algorithm>
@@ -86,6 +102,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <numeric>
 #include <span>
@@ -200,6 +217,22 @@ struct CoordLess {
   }
 };
 
+// Routing telemetry shared by a layer and every Version it publishes:
+// queries planned and shard visits issued, plus per-shard sub-batches
+// routed since the last commit. Relaxed atomics: any number of readers
+// plan batches concurrently; the counters are stats, not asym charges.
+struct RoutingTelemetry {
+  explicit RoutingTelemetry(size_t fanout)
+      : routed(new std::atomic<uint64_t>[fanout]) {
+    for (size_t s = 0; s < fanout; ++s) {
+      routed[s].store(0, std::memory_order_relaxed);
+    }
+  }
+  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> visits{0};
+  std::unique_ptr<std::atomic<uint64_t>[]> routed;
+};
+
 }  // namespace detail
 
 template <int K>
@@ -219,223 +252,43 @@ struct ShardTraits<kdtree::DynamicKdTree<K>> : detail::PointRouteTraits<K> {
 template <typename Structure>
 class Sharded;
 
-// Read-while-commit snapshot handle. Pins one Sharded replica at one
-// published version for batched reads while a twin replica applies the next
-// epoch's commit (src/serve/engine.h). The handle owns and locks nothing —
-// the serving engine's flip protocol guarantees the pinned replica is not
-// mutated while handles to it are live (commit and read touch disjoint
-// replicas); valid() is the cheap runtime assertion of that protocol: the
-// pinned version is still the replica's published version.
+// One published, immutable state of a Sharded layer: the shards (each
+// shared by pointer with every other Version that did not touch it), the
+// range partition, and the version number. Every batched query family runs
+// here, so a query batch reads exactly one Version from start to finish.
+// Only Sharded builds Versions; readers hold them through ShardedSnapshot.
 template <typename Structure>
-class ShardedSnapshot {
- public:
-  ShardedSnapshot() = default;
-  explicit ShardedSnapshot(const Sharded<Structure>& layer)
-      : layer_(&layer), version_(layer.version()) {}
-
-  bool empty() const { return layer_ == nullptr; }
-  // The epoch this snapshot pinned at construction.
-  uint64_t version() const { return version_; }
-  // True while the pinned replica still serves the pinned epoch. A false
-  // return means something committed into the replica under live readers —
-  // a flip-protocol violation worth crashing a debug build over.
-  bool valid() const {
-    return layer_ != nullptr && layer_->version() == version_;
-  }
-
-  const Sharded<Structure>& operator*() const { return *layer_; }
-  const Sharded<Structure>* operator->() const { return layer_; }
-
- private:
-  const Sharded<Structure>* layer_ = nullptr;
-  uint64_t version_ = 0;
-};
-
-template <typename Structure>
-class Sharded {
+class ShardedVersion {
  public:
   using Traits = ShardTraits<Structure>;
   using Record = typename Traits::Record;
 
-  // Constructs `fanout` hash-routed shards, each as Structure(args...).
-  // Fanout 0 is clamped to 1 (the degenerate unsharded layout).
-  template <typename... Args>
-  explicit Sharded(size_t fanout, const Args&... args)
-      : Sharded(Routing::kHash, fanout, args...) {}
-
-  // Routing-policy-selecting constructor; Routing::kHash reproduces the
-  // default behavior exactly.
-  template <typename... Args>
-  Sharded(Routing routing, size_t fanout, const Args&... args)
-      : routing_(routing) {
-    if (fanout == 0) fanout = 1;
-    // Planner shard sets are 64-bit masks.
-    if (routing_ == Routing::kRange && fanout > 64) fanout = 64;
-    shards_.reserve(fanout);
-    for (size_t s = 0; s < fanout; ++s) shards_.emplace_back(args...);
-    cover_.assign(fanout, empty_cover());
-    queries_routed_.reset(new std::atomic<uint64_t>[fanout]);
-    for (size_t s = 0; s < fanout; ++s) {
-      queries_routed_[s].store(0, std::memory_order_relaxed);
-    }
-  }
-
   size_t fanout() const { return shards_.size(); }
   Routing routing() const { return routing_; }
+  uint64_t version() const { return version_; }
   size_t shard_of(const Record& rec) const {
     if (routing_ == Routing::kRange && bounds_built_) {
       return shard_by_key(Traits::partition_key(rec));
     }
     return Traits::route_key(rec) % shards_.size();
   }
-  Structure& shard(size_t s) { return shards_[s]; }
-  const Structure& shard(size_t s) const { return shards_[s]; }
+  const Structure& shard(size_t s) const { return *shards_[s]; }
   size_t size() const {
     size_t total = 0;
-    for (const Structure& s : shards_) total += s.size();
+    for (const auto& s : shards_) total += s->size();
     return total;
   }
-
-  // --- range-partition introspection -----------------------------------
-
   // Whether the range partition has been seeded (first non-empty insert).
   bool bounds_built() const { return bounds_built_; }
   // The S-1 ordered split points: shard 0 owns (-inf, splits()[0]), shard
   // s owns [splits()[s-1], splits()[s]), shard S-1 owns the tail.
   const std::vector<double>& splits() const { return splits_; }
-  // Commit-time rebalances performed so far.
-  size_t rebalances() const { return rebalances_; }
-
-  // Routing telemetry: queries planned and shard visits issued since
-  // construction, over every batch wrapper (broadcast batches visit all S
-  // shards per query; planned batches visit each query's overlap set).
-  // shards-visited-per-query = planner_shard_visits() / planner_queries().
-  uint64_t planner_queries() const {
-    return planner_queries_.load(std::memory_order_relaxed);
-  }
-  uint64_t planner_shard_visits() const {
-    return planner_visits_.load(std::memory_order_relaxed);
-  }
-
-  // Per-shard load since the last commit: live records now, plus query
-  // sub-batches routed to the shard. commit() consumes the query counters
-  // (they feed the rebalance trigger).
-  struct ShardLoad {
-    size_t records = 0;
-    uint64_t queries = 0;
-  };
-  std::vector<ShardLoad> load_stats() const {
-    std::vector<ShardLoad> out(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      out[s] = {shards_[s].size(),
-                queries_routed_[s].load(std::memory_order_relaxed)};
-    }
-    return out;
-  }
-
-  // Pins this replica at its current version for read-while-commit serving
-  // (see ShardedSnapshot above and src/serve/engine.h).
-  ShardedSnapshot<Structure> snapshot() const {
-    return ShardedSnapshot<Structure>(*this);
-  }
-
-  // Admission-time screening for the serving engine: one record's
-  // well-formedness, checked where it can fail its own request instead of
-  // poisoning a whole staged epoch. commit() still revalidates the full
-  // batch as a backstop. `ordinal` only labels the error message.
-  static Status validate(const Record& rec, size_t ordinal = 0) {
-    return validate_record(rec, ordinal, "submitted");
-  }
-
-  // --- epoch-versioned updates -----------------------------------------
-
-  uint64_t version() const { return version_; }
-  size_t staged_inserts() const { return staged_ins_.size(); }
-  size_t staged_erases() const { return staged_ers_.size(); }
-  // Number of staged erasures the last commit() actually applied.
-  size_t last_commit_erased() const { return last_commit_erased_; }
-
-  // Names the epoch the next commit() will publish. Declarative: staging is
-  // buffered either way; serving loops call this to label the write batch
-  // they are filling.
-  uint64_t begin_epoch() const { return version_ + 1; }
-
-  void stage_insert(const Record& rec) { staged_ins_.push_back(rec); }
-  void stage_erase(const Record& rec) { staged_ers_.push_back(rec); }
-  // Drops the staged batch without applying it (the recovery path after a
-  // failed commit when the caller does not want to repair and retry).
-  void discard_staged() {
-    staged_ins_.clear();
-    staged_ers_.clear();
-  }
-
-  // Applies the staged batch — every shard's share via bulk_insert then
-  // bulk_erase, all shards in parallel — rebalances skewed range bounds,
-  // and publishes the next version. A record staged for both insert and
-  // erase in one epoch is inserted, then erased: the committed snapshot
-  // does not contain it. A commit with nothing staged is a no-op epoch and
-  // publishes nothing: version() is unchanged.
-  //
-  // All-or-nothing (see the file header): on any non-OK return the layer
-  // still serves epoch N — version() unchanged, queries bitwise-identical
-  // to the pre-commit snapshot — and the staged buffers are kept for repair
-  // or discard_staged(). The one persisting side effect of a failed first
-  // commit is the seeded range partition (split points only — a routing
-  // heuristic, not record state).
-  Expected<uint64_t> commit() {
-    if (staged_ins_.empty() && staged_ers_.empty()) {
-      last_commit_erased_ = 0;
-      return version_;
-    }
-    Status valid = validate_staged();
-    if (!valid.ok()) return valid;
-    ensure_bounds(staged_ins_);
-    auto ins = partition(staged_ins_);
-    auto ers = partition(staged_ers_);
-    Expected<size_t> erased = apply_transaction(ins, ers);
-    if (!erased.ok()) return erased.status();
-    // Published: coverage extension and epoch bookkeeping happen only now,
-    // so a rolled-back commit leaves the planner's pruning bounds exact.
-    last_commit_erased_ = erased.value();
-    extend_covers(ins);
-    staged_ins_.clear();
-    staged_ers_.clear();
-    maybe_rebalance();
-    return ++version_;
-  }
-
-  // Immediate one-batch epochs: route and apply `recs` in one step and
-  // publish a version of their own. Records staged for the in-progress
-  // epoch (if any) are left staged — only commit() consumes them. An empty
-  // batch is a no-op and publishes no version. Both run the same
-  // transaction as commit(): a non-OK return leaves every shard unchanged.
-  Status bulk_insert(const std::vector<Record>& recs) {
-    if (recs.empty()) return Status::Ok();
-    Status valid = validate_batch(recs, /*inserts=*/true);
-    if (!valid.ok()) return valid;
-    ensure_bounds(recs);
-    auto ins = partition(recs);
-    Expected<size_t> res = apply_transaction(ins, {});
-    if (!res.ok()) return res.status();
-    extend_covers(ins);
-    ++version_;
-    return Status::Ok();
-  }
-  Expected<size_t> bulk_erase(const std::vector<Record>& recs) {
-    if (recs.empty()) return size_t{0};
-    Status valid = validate_batch(recs, /*inserts=*/false);
-    if (!valid.ok()) return valid;
-    Expected<size_t> res = apply_transaction({}, partition(recs));
-    if (!res.ok()) return res;
-    ++version_;
-    return res;
-  }
 
   // --- batched queries --------------------------------------------------
   //
   // All wrappers are member templates constrained on the wrapped structure
-  // actually exposing the family, so Sharded<DynamicIntervalTree> has stab
-  // entry points and Sharded<LogForest<2>> has the spatial ones. Each
+  // actually exposing the family, so a Version of DynamicIntervalTree shards
+  // has stab entry points and one of LogForest<2> the spatial ones. Each
   // wrapper routes its batch into a Plan (the all-shards plan under hash
   // routing, the planner's under range routing), runs it with run_planned,
   // and merges the per-shard slices with its family's merge.
@@ -482,7 +335,7 @@ class Sharded {
       for (size_t s = 0; s < shards_.size(); ++s) {
         if (!((m >> s) & 1)) continue;
         if (covers_shard(qs[i], s)) {
-          covered_base[i] += shards_[s].size();
+          covered_base[i] += shards_[s]->size();
         } else {
           rest |= uint64_t{1} << s;
         }
@@ -665,7 +518,7 @@ class Sharded {
   bool use_planner() const {
     return routing_ == Routing::kRange && bounds_built_;
   }
-  bool shard_live(size_t s) const { return shards_[s].size() > 0; }
+  bool shard_live(size_t s) const { return shards_[s]->size() > 0; }
 
   static size_t shard_by_key_in(const std::vector<double>& splits,
                                 double key) {
@@ -851,13 +704,13 @@ class Sharded {
   }
 
   void note_plan(const Plan& plan, size_t new_queries) const {
-    planner_visits_.fetch_add(plan.visits, std::memory_order_relaxed);
+    tel_->visits.fetch_add(plan.visits, std::memory_order_relaxed);
     if (new_queries > 0) {
-      planner_queries_.fetch_add(new_queries, std::memory_order_relaxed);
+      tel_->queries.fetch_add(new_queries, std::memory_order_relaxed);
     }
     for (size_t s = 0; s < shards_.size(); ++s) {
       if (size_t n = plan.sub_batch_size(s); n > 0) {
-        queries_routed_[s].fetch_add(n, std::memory_order_relaxed);
+        tel_->routed[s].fetch_add(n, std::memory_order_relaxed);
       }
     }
   }
@@ -899,12 +752,12 @@ class Sharded {
           const Plan& p = round.plan;
           if (p.sub_batch_size(s) == 0) return;
           if (p.all_shards) {
-            round.per[s] = run(shards_[s], qs);
+            round.per[s] = run(*shards_[s], qs);
           } else {
             const std::vector<uint32_t>& qidx = p.shard_queries[s];
             std::vector<Q> sub(qidx.size());
             for (size_t j = 0; j < qidx.size(); ++j) sub[j] = qs[qidx[j]];
-            round.per[s] = run(shards_[s], sub);
+            round.per[s] = run(*shards_[s], sub);
           }
           maybe_poison(round.per[s], s);
         },
@@ -1043,13 +896,286 @@ class Sharded {
     for (size_t j = 0; j < take; ++j) out[j] = cand[j].second;
   }
 
+  static void extend_cover_with(Cover& c, const Record& r) {
+    for (int d = 0; d < Traits::kCoverDims; ++d) {
+      c.lo[d] = std::min(c.lo[d], Traits::cover_lo(r, d));
+      c.hi[d] = std::max(c.hi[d], Traits::cover_hi(r, d));
+    }
+  }
+
+  // Routes one record batch into per-shard sub-batches (the read + write of
+  // each record is the routing pass's bookkeeping charge).
+  std::vector<std::vector<Record>> partition(
+      const std::vector<Record>& recs) const {
+    std::vector<std::vector<Record>> by(shards_.size());
+    asym::count_read(recs.size());
+    asym::count_write(recs.size());
+    for (const Record& r : recs) by[shard_of(r)].push_back(r);
+    return by;
+  }
+
+  friend class Sharded<Structure>;
+  ShardedVersion() = default;
+
+  Routing routing_ = Routing::kHash;
+  std::vector<std::shared_ptr<const Structure>> shards_;
+  uint64_t version_ = 0;
+
+  // Range-partition state (kRange only).
+  bool bounds_built_ = false;
+  std::vector<double> splits_;
+  std::vector<Cover> cover_;
+
+  std::shared_ptr<detail::RoutingTelemetry> tel_;
+};
+
+// A reader's pin on one published Version: it stays valid, and keeps
+// answering from that Version, across any number of later commits.
+template <typename Structure>
+using ShardedSnapshot = std::shared_ptr<const ShardedVersion<Structure>>;
+
+// The writer side of the layer: staging, transactional commits and
+// rebalancing, all of which build the next Version and publish it by one
+// pointer swap (see the file header for the concurrency contract).
+template <typename Structure>
+class Sharded {
+ public:
+  using Traits = ShardTraits<Structure>;
+  using Record = typename Traits::Record;
+  using Version = ShardedVersion<Structure>;
+
+  // Constructs `fanout` hash-routed shards, each as Structure(args...).
+  // Fanout 0 is clamped to 1 (the degenerate unsharded layout).
+  template <typename... Args>
+  explicit Sharded(size_t fanout, const Args&... args)
+      : Sharded(Routing::kHash, fanout, args...) {}
+
+  // Routing-policy-selecting constructor; Routing::kHash reproduces the
+  // default behavior exactly.
+  template <typename... Args>
+  Sharded(Routing routing, size_t fanout, const Args&... args) {
+    if (fanout == 0) fanout = 1;
+    // Planner shard sets are 64-bit masks.
+    if (routing == Routing::kRange && fanout > 64) fanout = 64;
+    tel_ = std::make_shared<detail::RoutingTelemetry>(fanout);
+    Version v;
+    v.routing_ = routing;
+    v.shards_.reserve(fanout);
+    for (size_t s = 0; s < fanout; ++s) {
+      v.shards_.push_back(std::make_shared<const Structure>(args...));
+    }
+    v.cover_.assign(fanout, Version::empty_cover());
+    v.tel_ = tel_;
+    published_ = std::make_shared<const Version>(std::move(v));
+  }
+
+  // Pins the published Version: the handle's queries, size() and version()
+  // keep answering from it whatever commits later. Safe from any thread.
+  ShardedSnapshot<Structure> snapshot() const {
+    std::lock_guard<std::mutex> lk(publish_mu_);
+    return published_;
+  }
+
+  // Introspection of the published Version. References returned here stay
+  // valid until the next commit; a concurrent reader pins a snapshot().
+  size_t fanout() const { return snapshot()->fanout(); }
+  Routing routing() const { return snapshot()->routing(); }
+  size_t shard_of(const Record& rec) const {
+    return snapshot()->shard_of(rec);
+  }
+  const Structure& shard(size_t s) const { return snapshot()->shard(s); }
+  size_t size() const { return snapshot()->size(); }
+  uint64_t version() const { return snapshot()->version(); }
+
+  // --- range-partition introspection -----------------------------------
+
+  bool bounds_built() const { return snapshot()->bounds_built(); }
+  const std::vector<double>& splits() const { return snapshot()->splits(); }
+  // Commit-time rebalances performed so far.
+  size_t rebalances() const { return rebalances_; }
+
+  // Routing telemetry: queries planned and shard visits issued since
+  // construction, over every batch wrapper (broadcast batches visit all S
+  // shards per query; planned batches visit each query's overlap set).
+  // shards-visited-per-query = planner_shard_visits() / planner_queries().
+  uint64_t planner_queries() const {
+    return tel_->queries.load(std::memory_order_relaxed);
+  }
+  uint64_t planner_shard_visits() const {
+    return tel_->visits.load(std::memory_order_relaxed);
+  }
+
+  // Per-shard load since the last commit: live records now, plus query
+  // sub-batches routed to the shard. commit() consumes the query counters
+  // (they feed the rebalance trigger).
+  struct ShardLoad {
+    size_t records = 0;
+    uint64_t queries = 0;
+  };
+  std::vector<ShardLoad> load_stats() const {
+    ShardedSnapshot<Structure> v = snapshot();
+    std::vector<ShardLoad> out(v->fanout());
+    for (size_t s = 0; s < out.size(); ++s) {
+      out[s] = {v->shard(s).size(),
+                tel_->routed[s].load(std::memory_order_relaxed)};
+    }
+    return out;
+  }
+
+  // Admission-time screening for the serving engine: one record's
+  // well-formedness, checked where it can fail its own request instead of
+  // poisoning a whole staged epoch. commit() still revalidates the full
+  // batch as a backstop. `ordinal` only labels the error message.
+  static Status validate(const Record& rec, size_t ordinal = 0) {
+    return validate_record(rec, ordinal, "submitted");
+  }
+
+  // --- epoch-versioned updates -----------------------------------------
+
+  size_t staged_inserts() const { return staged_ins_.size(); }
+  size_t staged_erases() const { return staged_ers_.size(); }
+  // Number of staged erasures the last commit() actually applied.
+  size_t last_commit_erased() const { return last_commit_erased_; }
+
+  // Names the epoch the next commit() will publish. Declarative: staging is
+  // buffered either way; serving loops call this to label the write batch
+  // they are filling.
+  uint64_t begin_epoch() const { return version() + 1; }
+
+  void stage_insert(const Record& rec) { staged_ins_.push_back(rec); }
+  void stage_erase(const Record& rec) { staged_ers_.push_back(rec); }
+  // Drops the staged batch without applying it (the recovery path after a
+  // failed commit when the caller does not want to repair and retry).
+  void discard_staged() {
+    staged_ins_.clear();
+    staged_ers_.clear();
+  }
+
+  // Applies the staged batch — every shard's share via bulk_insert then
+  // bulk_erase, all shards in parallel — rebalances skewed range bounds,
+  // and publishes the next version. A record staged for both insert and
+  // erase in one epoch is inserted, then erased: the committed snapshot
+  // does not contain it. A commit with nothing staged is a no-op epoch and
+  // publishes nothing: version() is unchanged.
+  //
+  // All-or-nothing (see the file header): on any non-OK return the layer
+  // still publishes the same epoch-N Version — including the range
+  // partition, so a failed first commit leaves the partition unseeded —
+  // and the staged buffers are kept for repair or discard_staged().
+  Expected<uint64_t> commit() {
+    if (staged_ins_.empty() && staged_ers_.empty()) {
+      last_commit_erased_ = 0;
+      return version();
+    }
+    Status valid = validate_staged();
+    if (!valid.ok()) return valid;
+    Version next = *snapshot();
+    ensure_bounds(next, staged_ins_);
+    auto ins = next.partition(staged_ins_);
+    auto ers = next.partition(staged_ers_);
+    Expected<size_t> erased = apply_transaction(next, ins, ers);
+    if (!erased.ok()) return erased.status();
+    last_commit_erased_ = erased.value();
+    extend_covers(next, ins);
+    staged_ins_.clear();
+    staged_ers_.clear();
+    maybe_rebalance(next);
+    return publish(std::move(next));
+  }
+
+  // Immediate one-batch epochs: route and apply `recs` in one step and
+  // publish a version of their own. Records staged for the in-progress
+  // epoch (if any) are left staged — only commit() consumes them. An empty
+  // batch is a no-op and publishes no version. Both run the same
+  // transaction as commit(): a non-OK return publishes nothing.
+  Status bulk_insert(const std::vector<Record>& recs) {
+    if (recs.empty()) return Status::Ok();
+    Status valid = validate_batch(recs, /*inserts=*/true);
+    if (!valid.ok()) return valid;
+    Version next = *snapshot();
+    ensure_bounds(next, recs);
+    auto ins = next.partition(recs);
+    Expected<size_t> res = apply_transaction(next, ins, {});
+    if (!res.ok()) return res.status();
+    extend_covers(next, ins);
+    publish(std::move(next));
+    return Status::Ok();
+  }
+  Expected<size_t> bulk_erase(const std::vector<Record>& recs) {
+    if (recs.empty()) return size_t{0};
+    Status valid = validate_batch(recs, /*inserts=*/false);
+    if (!valid.ok()) return valid;
+    Version next = *snapshot();
+    Expected<size_t> res = apply_transaction(next, {}, next.partition(recs));
+    if (!res.ok()) return res;
+    publish(std::move(next));
+    return res;
+  }
+
+  // --- batched queries --------------------------------------------------
+  //
+  // Each wrapper pins the published Version for the whole batch and runs
+  // the family there (see ShardedVersion); a wrapper exists exactly when
+  // the wrapped structure exposes the family.
+
+  template <typename Q>
+  auto stab_batch(const std::vector<Q>& qs) const
+    requires requires(const Version& v) { v.stab_batch(qs); }
+  {
+    return snapshot()->stab_batch(qs);
+  }
+  template <typename Q>
+  auto stab_count_batch(const std::vector<Q>& qs) const
+    requires requires(const Version& v) { v.stab_count_batch(qs); }
+  {
+    return snapshot()->stab_count_batch(qs);
+  }
+  template <typename B>
+  auto range_count_batch(const std::vector<B>& qs) const
+    requires requires(const Version& v) { v.range_count_batch(qs); }
+  {
+    return snapshot()->range_count_batch(qs);
+  }
+  template <typename B>
+  auto range_report_batch(const std::vector<B>& qs) const
+    requires requires(const Version& v) { v.range_report_batch(qs); }
+  {
+    return snapshot()->range_report_batch(qs);
+  }
+  template <typename P>
+  auto knn_batch(const std::vector<P>& qs, size_t k) const
+    requires requires(const Version& v) { v.knn_batch(qs, k); }
+  {
+    return snapshot()->knn_batch(qs, k);
+  }
+  template <typename P>
+  auto ann_batch(const std::vector<P>& qs, double eps = 0.0) const
+    requires requires(const Version& v) { v.ann_batch(qs, eps); }
+  {
+    return snapshot()->ann_batch(qs, eps);
+  }
+
+ private:
+  using Cover = typename Version::Cover;
+
+  // Numbers `next` (a copy of the published Version) as its successor and
+  // swaps it in by one pointer store. The superseded Version leaves the
+  // lock in `fresh` and is freed by whichever thread drops its last
+  // reference: here, or a reader whose snapshot outlived the swap.
+  uint64_t publish(Version next) {
+    uint64_t v = ++next.version_;
+    auto fresh = std::make_shared<const Version>(std::move(next));
+    std::lock_guard<std::mutex> lk(publish_mu_);
+    published_.swap(fresh);
+    return v;
+  }
+
   // --- range bounds and rebalancing ------------------------------------
 
   // Equally-spaced quantiles of a sorted key sample become the S-1 split
   // points.
-  std::vector<double> quantile_splits(
-      const std::vector<double>& sorted_keys) const {
-    size_t S = shards_.size();
+  static std::vector<double> quantile_splits(
+      const std::vector<double>& sorted_keys, size_t S) {
     std::vector<double> sp(S - 1, 0.0);
     for (size_t s = 1; s < S; ++s) {
       sp[s - 1] = sorted_keys[s * sorted_keys.size() / S];
@@ -1061,8 +1187,11 @@ class Sharded {
   // deterministic evenly-strided sample of its partition keys, sorted, cut
   // at quantiles. Commit-time rebalancing corrects the seed as the record
   // set evolves.
-  void ensure_bounds(const std::vector<Record>& recs) {
-    if (routing_ != Routing::kRange || bounds_built_ || recs.empty()) return;
+  static void ensure_bounds(Version& next, const std::vector<Record>& recs) {
+    if (next.routing_ != Routing::kRange || next.bounds_built_ ||
+        recs.empty()) {
+      return;
+    }
     size_t n = recs.size();
     size_t sample = std::min<size_t>(n, 4096);
     std::vector<double> keys(sample);
@@ -1070,17 +1199,10 @@ class Sharded {
       keys[i] = Traits::partition_key(recs[i * n / sample]);
     }
     std::sort(keys.begin(), keys.end());
-    splits_ = quantile_splits(keys);
-    bounds_built_ = true;
+    next.splits_ = quantile_splits(keys, next.fanout());
+    next.bounds_built_ = true;
     asym::count_read(sample);
-    asym::count_write(splits_.size() + 1);
-  }
-
-  static void extend_cover_with(Cover& c, const Record& r) {
-    for (int d = 0; d < Traits::kCoverDims; ++d) {
-      c.lo[d] = std::min(c.lo[d], Traits::cover_lo(r, d));
-      c.hi[d] = std::max(c.hi[d], Traits::cover_hi(r, d));
-    }
+    asym::count_write(next.splits_.size() + 1);
   }
 
   static constexpr uint64_t kRebalanceSlack = 64;
@@ -1094,16 +1216,18 @@ class Sharded {
   // records whose shard assignment changed migrate (each shard erases its
   // leavers and inserts its enterers; the sets are disjoint, so shards
   // migrate in parallel).
-  void maybe_rebalance() {
-    size_t S = shards_.size();
+  void maybe_rebalance(Version& next) {
+    size_t S = next.fanout();
     std::vector<uint64_t> queries(S);
     for (size_t s = 0; s < S; ++s) {
-      queries[s] = queries_routed_[s].exchange(0, std::memory_order_relaxed);
+      queries[s] = tel_->routed[s].exchange(0, std::memory_order_relaxed);
     }
-    if (routing_ != Routing::kRange || !bounds_built_ || S == 1) return;
+    if (next.routing_ != Routing::kRange || !next.bounds_built_ || S == 1) {
+      return;
+    }
     uint64_t total = 0, max_load = 0;
     for (size_t s = 0; s < S; ++s) {
-      uint64_t load = shards_[s].size() + queries[s];
+      uint64_t load = next.shard(s).size() + queries[s];
       total += load;
       max_load = std::max(max_load, load);
     }
@@ -1111,7 +1235,7 @@ class Sharded {
 
     std::vector<std::vector<Record>> recs(S);
     parallel_for(
-        0, S, [&](size_t s) { recs[s] = Traits::extract(shards_[s]); }, 1);
+        0, S, [&](size_t s) { recs[s] = Traits::extract(next.shard(s)); }, 1);
     size_t n = 0;
     for (const std::vector<Record>& v : recs) n += v.size();
     if (n == 0) return;
@@ -1123,19 +1247,20 @@ class Sharded {
     std::sort(keys.begin(), keys.end());
     asym::count_read(n);
     asym::count_write(n);
-    // Stage the new partition locally: splits_, cover_, and the shards are
-    // only touched once the migration transaction has succeeded, so a
-    // failed migration (injected fault, allocation failure) skips the
-    // rebalance and leaves the just-committed epoch fully intact.
-    std::vector<double> new_splits = quantile_splits(keys);
-    if (new_splits == splits_) return;  // degenerate keys: no-op re-split
+    // Stage the new partition locally: `next` is only touched once the
+    // migration transaction has succeeded, so a failed migration (injected
+    // fault, allocation failure) skips the rebalance and leaves the
+    // commit's Version fully intact.
+    std::vector<double> new_splits = quantile_splits(keys, S);
+    if (new_splits == next.splits_) return;  // degenerate keys: no-op
 
-    std::vector<Cover> new_cover(S, empty_cover());
+    std::vector<Cover> new_cover(S, Version::empty_cover());
     std::vector<std::vector<Record>> leave(S), enter(S);
     for (size_t s = 0; s < S; ++s) {
       for (const Record& r : recs[s]) {
-        size_t ns = shard_by_key_in(new_splits, Traits::partition_key(r));
-        extend_cover_with(new_cover[ns], r);
+        size_t ns =
+            Version::shard_by_key_in(new_splits, Traits::partition_key(r));
+        Version::extend_cover_with(new_cover[ns], r);
         if (ns != s) {
           leave[s].push_back(r);
           enter[ns].push_back(r);
@@ -1147,33 +1272,26 @@ class Sharded {
     // enterers insert first, then leavers erase (the sets are disjoint —
     // a record's old and new shard differ — so the order is safe and the
     // erase cannot miss).
-    if (!apply_transaction(enter, leave).ok()) return;
-    splits_ = std::move(new_splits);
-    cover_ = std::move(new_cover);
+    if (!apply_transaction(next, enter, leave).ok()) return;
+    next.splits_ = std::move(new_splits);
+    next.cover_ = std::move(new_cover);
     ++rebalances_;
   }
 
-  // --- update routing ---------------------------------------------------
-
-  // Routes one record batch into per-shard sub-batches (the read + write of
-  // each record is the routing pass's bookkeeping charge).
-  std::vector<std::vector<Record>> partition(
-      const std::vector<Record>& recs) const {
-    std::vector<std::vector<Record>> by(shards_.size());
-    asym::count_read(recs.size());
-    asym::count_write(recs.size());
-    for (const Record& r : recs) by[shard_of(r)].push_back(r);
-    return by;
-  }
-
-  // Post-publish coverage extension over a routed insert batch (the bounds
-  // the planner prunes with). Runs only after a transaction succeeded, so a
-  // rolled-back commit never widens a shard's pruning bounds.
-  void extend_covers(const std::vector<std::vector<Record>>& by) {
-    if (routing_ != Routing::kRange || !bounds_built_ || by.empty()) return;
+  // Coverage extension over a routed insert batch (the bounds the planner
+  // prunes with). Runs only after a transaction succeeded, so a rolled-back
+  // commit never widens a shard's pruning bounds.
+  static void extend_covers(Version& next,
+                            const std::vector<std::vector<Record>>& by) {
+    if (next.routing_ != Routing::kRange || !next.bounds_built_ ||
+        by.empty()) {
+      return;
+    }
     size_t n = 0;
     for (size_t s = 0; s < by.size(); ++s) {
-      for (const Record& r : by[s]) extend_cover_with(cover_[s], r);
+      for (const Record& r : by[s]) {
+        Version::extend_cover_with(next.cover_[s], r);
+      }
       n += by[s].size();
     }
     if (n == 0) return;
@@ -1254,32 +1372,33 @@ class Sharded {
 
   // --- the transaction --------------------------------------------------
 
-  // Applies per-shard insert then erase sub-batches all-or-nothing: every
-  // shard with work stages into a shadow clone, and the clones replace the
-  // live shards (a per-shard move) only after all of them succeeded. Empty
-  // outer vectors mean "no batch of that kind". Failure modes per shard —
-  // the "shard_apply" fault point (checked before the clone is even made),
-  // a structure-level non-OK Status (id already live, "alloc" fault), or
-  // std::bad_alloc thrown mid-apply — discard every clone and leave all
-  // shards untouched; the first failing shard by id supplies the Status, so
-  // the reported error is identical at every worker count. Returns the
-  // total number of records actually erased on success.
+  // Applies per-shard insert then erase sub-batches to the unpublished
+  // Version `next`, all-or-nothing: every shard with work stages into a
+  // shadow clone, and the clones replace next's shard pointers only after
+  // all of them succeeded (shards without work stay shared). Empty outer
+  // vectors mean "no batch of that kind". Failure modes per shard — the
+  // "shard_apply" fault point (checked before the clone is even made), a
+  // structure-level non-OK Status (id already live, "alloc" fault), or
+  // std::bad_alloc thrown mid-apply — discard every clone and leave `next`
+  // untouched; the first failing shard by id supplies the Status, so the
+  // reported error is identical at every worker count. Returns the total
+  // number of records actually erased on success.
   //
   // Cost: cloning charges one bulk read + write per live record of the
-  // shards with work — the write-cost price of all-or-nothing publication;
-  // shards without work are never cloned.
+  // shards with work — the write-cost price of publishing a new Version
+  // while readers keep the old one; shards without work are never cloned.
   Expected<size_t> apply_transaction(
-      const std::vector<std::vector<Record>>& ins,
+      Version& next, const std::vector<std::vector<Record>>& ins,
       const std::vector<std::vector<Record>>& ers) {
-    size_t S = shards_.size();
-    std::vector<std::unique_ptr<Structure>> shadow(S);
+    size_t S = next.fanout();
+    std::vector<std::shared_ptr<Structure>> shadow(S);
     std::vector<Status> status(S);
     std::vector<size_t> erased(S, 0);
     uint64_t cloned = 0;
     for (size_t s = 0; s < S; ++s) {
       bool has_ins = !ins.empty() && !ins[s].empty();
       bool has_ers = !ers.empty() && !ers[s].empty();
-      if (has_ins || has_ers) cloned += shards_[s].size();
+      if (has_ins || has_ers) cloned += next.shard(s).size();
     }
     asym::count_read(cloned);
     asym::count_write(cloned);
@@ -1294,7 +1413,7 @@ class Sharded {
             return;
           }
           try {
-            shadow[s] = std::make_unique<Structure>(shards_[s]);
+            shadow[s] = std::make_shared<Structure>(next.shard(s));
             if (has_ins) {
               Status r = shadow[s]->bulk_insert(ins[s]);
               if (!r.ok()) {
@@ -1324,30 +1443,22 @@ class Sharded {
     }
     size_t total = 0;
     for (size_t s = 0; s < S; ++s) {
-      if (shadow[s] != nullptr) shards_[s] = std::move(*shadow[s]);
+      if (shadow[s] != nullptr) next.shards_[s] = std::move(shadow[s]);
       total += erased[s];
     }
     return total;
   }
 
-  std::vector<Structure> shards_;
-  Routing routing_ = Routing::kHash;
+  // The published Version; readers copy the pointer under publish_mu_, the
+  // writer swaps it there.
+  mutable std::mutex publish_mu_;
+  ShardedSnapshot<Structure> published_;
+
   std::vector<Record> staged_ins_;
   std::vector<Record> staged_ers_;
-  uint64_t version_ = 0;
   size_t last_commit_erased_ = 0;
-
-  // Range-partition state (kRange only).
-  bool bounds_built_ = false;
-  std::vector<double> splits_;
-  std::vector<Cover> cover_;
   size_t rebalances_ = 0;
-
-  // Routing telemetry. Relaxed atomics: query wrappers are const and may
-  // run concurrently; the counters are stats, not asym charges.
-  mutable std::atomic<uint64_t> planner_queries_{0};
-  mutable std::atomic<uint64_t> planner_visits_{0};
-  std::unique_ptr<std::atomic<uint64_t>[]> queries_routed_;
+  std::shared_ptr<detail::RoutingTelemetry> tel_;
 };
 
 }  // namespace weg::parallel

@@ -6,8 +6,8 @@
 // sheds load at the front door with an immediate, observable decision — the
 // caller completes the request with kResourceExhausted and the client can
 // back off. Mutex-guarded rather than lock-free: the hand-off is the only
-// cross-thread synchronization the serving pipeline needs (commit and read
-// touch disjoint replicas, see src/serve/engine.h), and a lock held for one
+// cross-thread synchronization the serving pipeline needs besides the
+// published-version swap (see src/serve/engine.h), and a lock held for one
 // push or one bounded drain is nanoseconds against a millisecond batch.
 #pragma once
 

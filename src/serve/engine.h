@@ -6,20 +6,21 @@
 //   producers --try_push--> [bounded MPSC queues]      (admission control)
 //                               |
 //                           batcher thread             (size/deadline flush)
-//                   query batches     |  epoch hand-off
-//                   on replica[read]  |  to committer thread
+//                  query batches on   |  epoch hand-off
+//                  a pinned snapshot  |  to committer thread
 //                           |         |         |
-//                     double-buffered Sharded replicas
+//                  one Sharded: published immutable Version
 //
-// Double-buffered epochs: the engine owns TWO identical Sharded replicas.
-// Queries always run against replica[read] — an immutable epoch-N snapshot —
-// while the committer applies epoch N+1 (validation + shadow-clone apply,
-// plain Sharded::commit()) to the other replica. When the commit lands, the
-// batcher flips `read` between query batches, completes the epoch's update
-// requests, and the committer replays the same delta into the now-stale twin
-// so both replicas publish the same version sequence. Commit and read touch
-// disjoint replicas at all times, so the only synchronization is the queue
-// hand-off plus one small mutex around the commit phase transitions.
+// One versioned layer: the engine owns ONE Sharded. Every query batch pins
+// the published Version (Sharded::snapshot()) and runs on it start to
+// finish, while the committer applies epoch N+1 (validation + shadow-clone
+// apply of the touched shards, plain Sharded::commit()) and publishes the
+// next Version by one pointer swap. The committer then completes the
+// epoch's update requests itself, so a client that saw its update commit
+// at version v only ever queries versions >= v. Readers and the writer
+// share untouched shards by pointer and never mutate a published Version,
+// so the only synchronization is the queue hand-off, the publish swap, and
+// one small mutex around the commit hand-off.
 //
 // Per-request failure isolation: each request completes with its own
 // weg::Expected<T>. Malformed update records (non-finite coordinates,
@@ -73,7 +74,7 @@ struct Config {
 };
 
 // The query family one engine serves per structure: Query in, a slice of
-// Items out, executed through the sharded layer's batch API.
+// Items out, executed on one pinned Version of the sharded layer.
 template <typename Structure>
 struct ServeTraits;
 
@@ -82,9 +83,9 @@ struct ServeTraits<augtree::DynamicIntervalTree> {
   using Query = double;    // 1D stabbing query
   using Item = uint32_t;   // ids of stabbed intervals
   static parallel::BatchResult<Item> run(
-      const parallel::Sharded<augtree::DynamicIntervalTree>& layer,
+      const parallel::ShardedVersion<augtree::DynamicIntervalTree>& v,
       const std::vector<Query>& qs, const Config&) {
-    return layer.stab_batch(qs);
+    return v.stab_batch(qs);
   }
 };
 
@@ -93,9 +94,9 @@ struct ServeTraits<kdtree::LogForest<K>> {
   using Query = geom::PointK<K>;  // kNN probe point
   using Item = geom::PointK<K>;
   static parallel::BatchResult<Item> run(
-      const parallel::Sharded<kdtree::LogForest<K>>& layer,
+      const parallel::ShardedVersion<kdtree::LogForest<K>>& v,
       const std::vector<Query>& qs, const Config& cfg) {
-    return layer.knn_batch(qs, cfg.knn_k);
+    return v.knn_batch(qs, cfg.knn_k);
   }
 };
 
@@ -146,9 +147,8 @@ struct Stats {
   uint64_t epochs_committed = 0;
   uint64_t epochs_failed = 0;
   uint64_t commit_retries = 0;
-  uint64_t catchup_abandoned = 0;
-  // Query batches that ran while a commit was in flight on the twin
-  // replica — the pipeline-overlap evidence the bench reports.
+  // Query batches that ran while a commit was in flight — the
+  // pipeline-overlap evidence the bench reports.
   uint64_t overlap_batches = 0;
   // Bucket b counts flushed batches with bit_width(size) == b (size 1 ->
   // bucket 1, 2-3 -> 2, 4-7 -> 3, ...).
@@ -181,17 +181,10 @@ class Engine {
   Engine(const Config& cfg, parallel::Routing routing, size_t fanout,
          const Args&... args)
       : cfg_(cfg),
+        layer_(routing, fanout, args...),
         query_q_(cfg.queue_capacity),
         update_q_(cfg.queue_capacity),
-        start_tp_(std::chrono::steady_clock::now()) {
-    // Sharded is pinned in place (atomics inside), so the twin replicas
-    // live behind unique_ptrs. Identical construction + identical delta
-    // sequence keeps their version counters in lockstep.
-    rep_[0] = std::make_unique<parallel::Sharded<Structure>>(routing, fanout,
-                                                             args...);
-    rep_[1] = std::make_unique<parallel::Sharded<Structure>>(routing, fanout,
-                                                             args...);
-  }
+        start_tp_(std::chrono::steady_clock::now()) {}
   template <typename... Args>
   Engine(const Config& cfg, size_t fanout, const Args&... args)
       : Engine(cfg, parallel::Routing::kHash, fanout, args...) {}
@@ -200,23 +193,18 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Initial data load, applied identically to both replicas. Engine must
-  // be stopped.
+  // Initial data load, one bulk epoch. Engine must be stopped.
   Status bulk_load(const std::vector<Record>& recs) {
     assert(!running_);
-    for (auto& rep : rep_) {
-      if (Status s = rep->bulk_insert(recs); !s.ok()) return s;
-    }
-    return Status::Ok();
+    return layer_.bulk_insert(recs);
   }
 
   // --- live mode --------------------------------------------------------
 
   // Spawns the batcher + committer threads (two scheduler-external root
-  // threads, see src/parallel/scheduler.h). No-op if already running or
-  // after an abandoned catch-up left the replicas diverged (degraded()).
+  // threads, see src/parallel/scheduler.h). No-op if already running.
   void start() {
-    if (running_ || degraded_) return;
+    if (running_) return;
     stop_requested_.store(false, std::memory_order_release);
     accepting_.store(true, std::memory_order_release);
     batcher_ = std::thread([this] { batcher_loop(); });
@@ -225,8 +213,7 @@ class Engine {
   }
 
   // Drains both queues, flushes the forming batches, completes every
-  // in-flight request, finishes (or abandons, see degraded()) the replica
-  // catch-up, and joins both threads. Idempotent.
+  // in-flight request, and joins both threads. Idempotent.
   void stop() {
     if (!running_) return;
     accepting_.store(false, std::memory_order_release);
@@ -258,10 +245,6 @@ class Engine {
   }
 
   bool running() const { return running_; }
-  // True after a shutdown had to abandon a replica catch-up: the twins'
-  // versions diverged, so the engine refuses to restart. Only reachable
-  // while a persistent injected fault is armed across stop().
-  bool degraded() const { return degraded_; }
 
   std::future<Expected<QueryReply>> submit_query(const Query& q) {
     PendingQuery r;
@@ -361,13 +344,13 @@ class Engine {
 
   // --- introspection ----------------------------------------------------
 
-  // Stable only while the engine is stopped or between epochs; live-mode
-  // callers race the batcher's flip and should go through submit_query.
+  // The published Version, safe from any thread while the engine runs: a
+  // snapshot keeps answering from its Version across later commits.
   parallel::ShardedSnapshot<Structure> snapshot() const {
-    return rep_[read_idx()]->snapshot();
+    return layer_.snapshot();
   }
-  uint64_t version() const { return rep_[read_idx()]->version(); }
-  size_t size() const { return rep_[read_idx()]->size(); }
+  uint64_t version() const { return layer_.version(); }
+  size_t size() const { return layer_.size(); }
 
   Stats stats() const {
     Stats s;
@@ -386,7 +369,6 @@ class Engine {
     s.epochs_committed = ld(epochs_committed_);
     s.epochs_failed = ld(epochs_failed_);
     s.commit_retries = ld(commit_retries_);
-    s.catchup_abandoned = ld(catchup_abandoned_);
     s.overlap_batches = ld(overlap_batches_);
     for (size_t b = 0; b < s.batch_size_hist.size(); ++b) {
       s.batch_size_hist[b] = ld(batch_size_hist_[b]);
@@ -396,8 +378,6 @@ class Engine {
 
  private:
   // --- shared plumbing --------------------------------------------------
-
-  enum class CommitPhase : uint8_t { kIdle, kApplying, kApplied, kCatchingUp };
 
   struct PendingQuery {
     Query query{};
@@ -417,20 +397,11 @@ class Engine {
     Query query;
     Record rec;
   };
-  // One epoch in flight between batcher and committer, guarded by
-  // commit_mu_. inserts/erases survive until the catch-up replay lands so
-  // the twin replica receives the identical delta.
+  // One epoch handed from batcher to committer, guarded by commit_mu_.
   struct Epoch {
     std::vector<Record> inserts, erases;
     std::vector<PendingUpdate> requests;
-    Status status = Status::Ok();
-    uint64_t version = 0;
   };
-
-  size_t read_idx() const { return read_idx_.load(std::memory_order_relaxed); }
-  parallel::Sharded<Structure>& write_rep() {
-    return *rep_[1 - read_idx()];
-  }
 
   uint64_t now_us() const {
     return static_cast<uint64_t>(
@@ -445,20 +416,23 @@ class Engine {
     batch_size_hist_[b].fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Stages ins+ers into `rep` and commits, retrying the commit up to
+  // Stages ins+ers and commits, retrying the commit up to
   // cfg_.commit_retries extra times (transient faults); on final failure
-  // the staged buffers are dropped and the replica still serves its old
-  // epoch (Sharded's all-or-nothing contract).
-  Expected<uint64_t> apply_delta(parallel::Sharded<Structure>& rep,
-                                 const std::vector<Record>& ins,
+  // the staged buffers are dropped and the layer still publishes its old
+  // Version (Sharded's all-or-nothing contract). Counts the epoch.
+  Expected<uint64_t> apply_delta(const std::vector<Record>& ins,
                                  const std::vector<Record>& ers) {
-    for (const Record& r : ins) rep.stage_insert(r);
-    for (const Record& r : ers) rep.stage_erase(r);
+    for (const Record& r : ins) layer_.stage_insert(r);
+    for (const Record& r : ers) layer_.stage_erase(r);
     for (int attempt = 0;; ++attempt) {
-      Expected<uint64_t> v = rep.commit();
-      if (v.ok()) return v;
+      Expected<uint64_t> v = layer_.commit();
+      if (v.ok()) {
+        epochs_committed_.fetch_add(1, std::memory_order_relaxed);
+        return v;
+      }
       if (attempt >= cfg_.commit_retries) {
-        rep.discard_staged();
+        layer_.discard_staged();
+        epochs_failed_.fetch_add(1, std::memory_order_relaxed);
         return v;
       }
       commit_retries_.fetch_add(1, std::memory_order_relaxed);
@@ -501,7 +475,7 @@ class Engine {
                            uint64_t when, std::atomic<uint64_t>* trigger_ctr) {
     if (pq.empty()) return;
     note_batch(pq.size(), trigger_ctr);
-    auto snap = rep_[read_idx()]->snapshot();
+    auto snap = layer_.snapshot();
     std::vector<Query> qs;
     qs.reserve(pq.size());
     for (const TraceReq& r : pq) qs.push_back(r.query);
@@ -509,7 +483,7 @@ class Engine {
     for (size_t i = 0; i < pq.size(); ++i) {
       Outcome& o = out[pq[i].idx];
       o.completed_at_us = when;
-      o.version = snap.version();
+      o.version = snap->version();
       if (res.ok()) {
         o.items = res.result(i);
       } else {
@@ -524,7 +498,6 @@ class Engine {
         }
       }
     }
-    assert(snap.valid());
     query_batches_.fetch_add(1, std::memory_order_relaxed);
     pq.clear();
   }
@@ -533,25 +506,6 @@ class Engine {
                            uint64_t when, std::atomic<uint64_t>* trigger_ctr) {
     if (pu.empty()) return;
     note_batch(pu.size(), trigger_ctr);
-    // A failed catch-up replay from the previous epoch must land before a
-    // new epoch may start (the twins' versions would diverge otherwise).
-    if (catchup_pending_) {
-      Expected<uint64_t> c =
-          apply_delta(write_rep(), inflight_.inserts, inflight_.erases);
-      if (c.ok()) {
-        catchup_pending_ = false;
-        inflight_.inserts.clear();
-        inflight_.erases.clear();
-      } else {
-        for (const TraceReq& r : pu) {
-          out[r.idx].status = c.status();
-          out[r.idx].completed_at_us = when;
-          requests_failed_.fetch_add(1, std::memory_order_relaxed);
-        }
-        pu.clear();
-        return;
-      }
-    }
     std::vector<Record> ins, ers;
     std::vector<Status> verdict = screen(
         pu.size(),
@@ -571,26 +525,13 @@ class Engine {
     }
     pu.clear();
     if (live.empty()) return;
-    Expected<uint64_t> r = apply_delta(write_rep(), ins, ers);
-    if (r.ok()) {
-      read_idx_.store(1 - read_idx(), std::memory_order_relaxed);
-      epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t idx : live) {
+    Expected<uint64_t> r = apply_delta(ins, ers);
+    for (size_t idx : live) {
+      out[idx].completed_at_us = when;
+      if (r.ok()) {
         out[idx].version = r.value();
-        out[idx].completed_at_us = when;
-      }
-      // Catch-up replay of the same delta into the now-stale twin.
-      Expected<uint64_t> c = apply_delta(write_rep(), ins, ers);
-      if (!c.ok()) {
-        inflight_.inserts = std::move(ins);
-        inflight_.erases = std::move(ers);
-        catchup_pending_ = true;
-      }
-    } else {
-      epochs_failed_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t idx : live) {
+      } else {
         out[idx].status = r.status();
-        out[idx].completed_at_us = when;
         requests_failed_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -629,16 +570,14 @@ class Engine {
     wake_cv_.notify_all();
   }
 
-  CommitPhase phase() const {
-    return phase_.load(std::memory_order_relaxed);
+  bool committing() const {
+    return committing_.load(std::memory_order_relaxed);
   }
 
   void batcher_loop() {
     std::vector<PendingQuery> pq;
     std::vector<PendingUpdate> pu;
-    int stop_catchup_attempts = 0;
     for (;;) {
-      pump_commit_completion();
       bool stopping = stop_requested_.load(std::memory_order_acquire);
       if (pq.size() < cfg_.max_batch) {
         query_q_.drain_into(pq, cfg_.max_batch - pq.size());
@@ -656,8 +595,7 @@ class Engine {
                                        : &drain_flushes_);
         }
       }
-      bool commit_ready = phase() == CommitPhase::kIdle && !catchup_pending();
-      if (!pu.empty() && commit_ready) {
+      if (!pu.empty() && !committing()) {
         bool full = pu.size() >= cfg_.max_batch;
         bool late = now >= pu.front().admitted_us + cfg_.max_delay_us;
         if (full || late || stopping) {
@@ -666,10 +604,8 @@ class Engine {
                                       : &drain_flushes_);
         }
       }
-      maybe_retry_catchup(now, stopping, &stop_catchup_attempts);
       if (stopping && pq.empty() && pu.empty() && query_q_.empty() &&
-          update_q_.empty() && phase() == CommitPhase::kIdle &&
-          !catchup_pending()) {
+          update_q_.empty() && !committing()) {
         break;
       }
       wait_for_work(pq, pu, stopping);
@@ -681,16 +617,11 @@ class Engine {
     commit_cv_.notify_all();
   }
 
-  bool catchup_pending() const {
-    std::lock_guard<std::mutex> lk(commit_mu_);
-    return catchup_pending_;
-  }
-
   void run_query_batch(std::vector<PendingQuery>& batch,
                        std::atomic<uint64_t>* trigger_ctr) {
     note_batch(batch.size(), trigger_ctr);
-    bool overlap = phase() != CommitPhase::kIdle;
-    auto snap = rep_[read_idx()]->snapshot();
+    bool overlap = committing();
+    auto snap = layer_.snapshot();
     std::vector<Query> qs;
     qs.reserve(batch.size());
     for (const PendingQuery& r : batch) qs.push_back(r.query);
@@ -698,19 +629,18 @@ class Engine {
     for (size_t i = 0; i < batch.size(); ++i) {
       if (res.ok()) {
         batch[i].done.set_value(
-            Expected<QueryReply>(QueryReply{res.result(i), snap.version()}));
+            Expected<QueryReply>(QueryReply{res.result(i), snap->version()}));
         continue;
       }
       parallel::BatchResult<Item> one = Traits::run(*snap, {qs[i]}, cfg_);
       if (one.ok()) {
         batch[i].done.set_value(
-            Expected<QueryReply>(QueryReply{one.result(0), snap.version()}));
+            Expected<QueryReply>(QueryReply{one.result(0), snap->version()}));
       } else {
         batch[i].done.set_value(Expected<QueryReply>(one.status()));
         requests_failed_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    assert(snap.valid());
     if (overlap) overlap_batches_.fetch_add(1, std::memory_order_relaxed);
     query_batches_.fetch_add(1, std::memory_order_relaxed);
     batch.clear();
@@ -739,125 +669,38 @@ class Engine {
     {
       std::lock_guard<std::mutex> lk(commit_mu_);
       inflight_ = std::move(ep);
-      phase_.store(CommitPhase::kApplying, std::memory_order_relaxed);
+      committing_.store(true, std::memory_order_relaxed);
     }
     commit_cv_.notify_all();
   }
 
-  // Batcher side of the commit hand-shake: when the committer parked the
-  // epoch in kApplied, flip the read replica (between query batches, so no
-  // reader ever observes a mutation), complete the epoch's requests, and
-  // release the committer into the catch-up replay.
-  void pump_commit_completion() {
-    std::vector<PendingUpdate> done;
-    Status st;
-    uint64_t ver = 0;
-    {
-      std::lock_guard<std::mutex> lk(commit_mu_);
-      if (phase_.load(std::memory_order_relaxed) != CommitPhase::kApplied) {
-        return;
-      }
-      st = inflight_.status;
-      ver = inflight_.version;
-      done = std::move(inflight_.requests);
-      inflight_.requests.clear();
-      if (st.ok()) {
-        read_idx_.store(1 - read_idx(), std::memory_order_relaxed);
-        epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-        phase_.store(CommitPhase::kCatchingUp, std::memory_order_relaxed);
-      } else {
-        epochs_failed_.fetch_add(1, std::memory_order_relaxed);
-        inflight_.inserts.clear();
-        inflight_.erases.clear();
-        phase_.store(CommitPhase::kIdle, std::memory_order_relaxed);
-      }
-    }
-    commit_cv_.notify_all();
-    for (PendingUpdate& r : done) {
-      if (st.ok()) {
-        r.done.set_value(Expected<uint64_t>(ver));
-      } else {
-        r.done.set_value(Expected<uint64_t>(st));
-        requests_failed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  void maybe_retry_catchup(uint64_t now, bool stopping,
-                           int* stop_catchup_attempts) {
-    std::unique_lock<std::mutex> lk(commit_mu_);
-    if (!catchup_pending_ || phase() != CommitPhase::kIdle) return;
-    if (stopping && ++*stop_catchup_attempts > 2) {
-      // Persistent failure across shutdown: give up so stop() terminates.
-      // The committed data is fully served by the read replica; only the
-      // stale twin is short one delta, so the engine marks itself degraded
-      // and refuses to restart.
-      inflight_.inserts.clear();
-      inflight_.erases.clear();
-      catchup_pending_ = false;
-      degraded_ = true;
-      catchup_abandoned_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (!stopping && now < last_catchup_us_ + cfg_.max_delay_us) return;
-    phase_.store(CommitPhase::kCatchingUp, std::memory_order_relaxed);
-    lk.unlock();
-    commit_cv_.notify_all();
-  }
-
+  // Commits each handed-off epoch, which publishes its Version, then
+  // completes the epoch's requests and frees the batcher to hand off the
+  // next one.
   void committer_loop() {
     std::unique_lock<std::mutex> lk(commit_mu_);
     for (;;) {
-      commit_cv_.wait(lk, [&] {
-        CommitPhase ph = phase_.load(std::memory_order_relaxed);
-        return committer_exit_ || ph == CommitPhase::kApplying ||
-               ph == CommitPhase::kCatchingUp;
-      });
-      CommitPhase ph = phase_.load(std::memory_order_relaxed);
-      if (ph == CommitPhase::kApplying) {
-        std::vector<Record> ins = inflight_.inserts;
-        std::vector<Record> ers = inflight_.erases;
-        lk.unlock();
-        Expected<uint64_t> r = apply_delta(write_rep(), ins, ers);
-        lk.lock();
-        inflight_.status = r.status();
-        inflight_.version = r.ok() ? r.value() : 0;
-        phase_.store(CommitPhase::kApplied, std::memory_order_relaxed);
-        // poke() takes wake_mu_; never hold commit_mu_ across it (the
-        // batcher takes the two locks separately, in either order).
-        lk.unlock();
-        poke();  // batcher flips + completes
-        lk.lock();
-      } else if (ph == CommitPhase::kCatchingUp) {
-        std::vector<Record> ins = inflight_.inserts;
-        std::vector<Record> ers = inflight_.erases;
-        lk.unlock();
-        Expected<uint64_t> r = apply_delta(write_rep(), ins, ers);
-        lk.lock();
-        if (r.ok()) {
-          inflight_.inserts.clear();
-          inflight_.erases.clear();
-          catchup_pending_ = false;
-        } else {
-          catchup_pending_ = true;
-          last_catchup_us_ = now_us();
-        }
-        phase_.store(CommitPhase::kIdle, std::memory_order_relaxed);
-        lk.unlock();
-        poke();
-        lk.lock();
-      } else if (committer_exit_) {
-        break;
+      commit_cv_.wait(lk, [&] { return committer_exit_ || committing(); });
+      if (!committing()) break;
+      Epoch ep = std::move(inflight_);
+      lk.unlock();
+      Expected<uint64_t> r = apply_delta(ep.inserts, ep.erases);
+      for (PendingUpdate& u : ep.requests) {
+        u.done.set_value(r);
+        if (!r.ok()) requests_failed_.fetch_add(1, std::memory_order_relaxed);
       }
+      lk.lock();
+      committing_.store(false, std::memory_order_relaxed);
+      // poke() takes wake_mu_; never hold commit_mu_ across it.
+      lk.unlock();
+      poke();
+      lk.lock();
     }
   }
 
   void wait_for_work(const std::vector<PendingQuery>& pq,
                      const std::vector<PendingUpdate>& pu, bool stopping) {
-    // Evaluated before wake_mu_ is taken: catchup_pending() locks
-    // commit_mu_, and commit_mu_ must never nest inside wake_mu_.
-    bool commit_ready =
-        phase() == CommitPhase::kIdle && !catchup_pending();
+    bool commit_ready = !committing();
     std::unique_lock<std::mutex> lk(wake_mu_);
     if (wake_pending_) {
       wake_pending_ = false;
@@ -883,15 +726,13 @@ class Engine {
   // --- members ----------------------------------------------------------
 
   const Config cfg_;
-  std::unique_ptr<parallel::Sharded<Structure>> rep_[2];
-  std::atomic<size_t> read_idx_{0};
+  parallel::Sharded<Structure> layer_;
 
   BoundedMpscQueue<PendingQuery> query_q_;
   BoundedMpscQueue<PendingUpdate> update_q_;
 
   std::thread batcher_, committer_;
   bool running_ = false;
-  bool degraded_ = false;
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_requested_{false};
 
@@ -899,12 +740,10 @@ class Engine {
   std::condition_variable wake_cv_;
   bool wake_pending_ = false;
 
-  mutable std::mutex commit_mu_;
+  std::mutex commit_mu_;
   std::condition_variable commit_cv_;
-  std::atomic<CommitPhase> phase_{CommitPhase::kIdle};
+  std::atomic<bool> committing_{false};
   bool committer_exit_ = false;
-  bool catchup_pending_ = false;
-  uint64_t last_catchup_us_ = 0;
   Epoch inflight_;
 
   std::chrono::steady_clock::time_point start_tp_;
@@ -916,7 +755,7 @@ class Engine {
   std::atomic<uint64_t> size_flushes_{0}, deadline_flushes_{0},
       drain_flushes_{0};
   std::atomic<uint64_t> epochs_committed_{0}, epochs_failed_{0};
-  std::atomic<uint64_t> commit_retries_{0}, catchup_abandoned_{0};
+  std::atomic<uint64_t> commit_retries_{0};
   std::atomic<uint64_t> overlap_batches_{0};
   std::array<std::atomic<uint64_t>, 20> batch_size_hist_{};
 };

@@ -11,15 +11,17 @@
 // WEG_NUM_THREADS=1/2/8). Degenerate serving inputs (fanout 0, k = 0,
 // k > n, empty/inverted/NaN rectangles, NaN probes) are pinned to defined
 // empty results under both routing policies. The FaultSweep cases re-run
-// the serving scenario under whatever WEG_FAULT the environment arms — the
-// CI fault sweep's entry point — and assert the invariants hold whether or
-// not the armed point trips.
+// the serving scenarios — a bare Sharded layer and a trace through the
+// serving engine — under whatever WEG_FAULT the environment arms (the CI
+// fault sweep's entry point) and assert the invariants hold whether or not
+// the armed point trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "src/parallel/scheduler.h"
 #include "src/parallel/sharded.h"
 #include "src/primitives/random.h"
+#include "src/serve/engine.h"
 #include "tests/testing_util.h"
 
 namespace weg {
@@ -486,6 +489,120 @@ TEST(FaultSweep, ServingInvariantsHoldUnderEnvFault) {
     auto expect = oracle.stab(qs[i]);
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(r.result(i), expect);
+  }
+}
+
+// The engine path of the sweep: a fixed trace through Engine::run_trace
+// under whatever WEG_FAULT the environment armed. Whether or not the armed
+// point trips, a failed epoch publishes nothing (the committed versions are
+// gapless), every OK query equals the brute-force stab over the live set of
+// the version it reports, and the engine then stops and restarts cleanly.
+TEST(FaultSweep, EngineTraceInvariantsHoldUnderEnvFault) {
+  using Engine = serve::Engine<DynamicIntervalTree>;
+  serve::Config cfg;
+  cfg.max_batch = 16;
+  cfg.max_delay_us = 200;
+  Engine eng(cfg, Routing::kRange, 4, 4);
+  auto base = fixed_intervals(2000, 0x5EF0);
+  std::vector<Interval> live0;
+  if (eng.bulk_load(base).ok()) {
+    live0 = base;
+  } else {
+    EXPECT_EQ(eng.version(), 0u);  // the failed load published nothing
+  }
+  EXPECT_EQ(eng.size(), live0.size());
+  const uint64_t v0 = eng.version();
+
+  std::vector<serve::TraceEvent<DynamicIntervalTree>> trace;
+  primitives::Rng rng(0x5EF1);
+  uint32_t next_id = 50000;
+  size_t next_erase = 0;
+  for (uint64_t i = 0; i < 400; ++i) {
+    serve::TraceEvent<DynamicIntervalTree> e;
+    e.at_us = i * 20;
+    if (i % 4 == 1) {
+      double a = rng.next_double();
+      e.kind = serve::RequestKind::kInsert;
+      e.rec = Interval{a, a + 0.02, next_id++};
+    } else if (i % 9 == 2 && !live0.empty()) {
+      e.kind = serve::RequestKind::kErase;
+      e.rec = base[next_erase];
+      next_erase += 13;
+    } else {
+      e.kind = serve::RequestKind::kQuery;
+      e.query = rng.next_double();
+    }
+    trace.push_back(e);
+  }
+  auto out = eng.run_trace(trace);
+  ASSERT_EQ(out.size(), trace.size());
+
+  // Failed epochs publish nothing: the committed versions are exactly
+  // v0+1 .. v0+k, and the engine ends at v0+k.
+  std::map<uint64_t, std::vector<size_t>> by_version;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].kind == serve::RequestKind::kQuery) continue;
+    if (out[i].status.ok()) {
+      by_version[out[i].version].push_back(i);
+    } else {
+      EXPECT_EQ(out[i].status.code(), StatusCode::kFaultInjected) << i;
+    }
+  }
+  uint64_t expect_v = v0;
+  for (const auto& [ver, events] : by_version) EXPECT_EQ(ver, ++expect_v);
+  EXPECT_EQ(eng.version(), expect_v);
+
+  // Every OK query matches the oracle at its reported version.
+  std::map<uint64_t, std::vector<Interval>> live_at;
+  std::vector<Interval> live = live0;
+  live_at[v0] = live;
+  for (const auto& [ver, events] : by_version) {
+    for (size_t i : events) {
+      if (trace[i].kind == serve::RequestKind::kInsert) {
+        live.push_back(trace[i].rec);
+      }
+    }
+    for (size_t i : events) {
+      if (trace[i].kind != serve::RequestKind::kErase) continue;
+      live.erase(std::remove(live.begin(), live.end(), trace[i].rec),
+                 live.end());
+    }
+    live_at[ver] = live;
+  }
+  EXPECT_EQ(eng.size(), live.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].kind != serve::RequestKind::kQuery) continue;
+    if (!out[i].status.ok()) {
+      EXPECT_EQ(out[i].status.code(), StatusCode::kFaultInjected) << i;
+      continue;
+    }
+    auto it = live_at.find(out[i].version);
+    ASSERT_NE(it, live_at.end()) << "query " << i << " at " << out[i].version;
+    std::vector<uint32_t> expect;
+    for (const Interval& iv : it->second) {
+      if (iv.contains(trace[i].query)) expect.push_back(iv.id);
+    }
+    std::sort(expect.begin(), expect.end());
+    std::vector<uint32_t> got = out[i].items;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expect) << "query " << i << " at " << out[i].version;
+  }
+
+  // Live mode after the trace: start, serve, stop, and restart cleanly.
+  for (int round = 0; round < 2; ++round) {
+    eng.start();
+    ASSERT_TRUE(eng.running());
+    auto q = eng.submit_query(0.5);
+    auto u = eng.submit_insert(Interval{0.5, 0.51, 90000u + uint32_t(round)});
+    auto qr = q.get();
+    auto ur = u.get();
+    EXPECT_TRUE(qr.ok() || qr.status().code() == StatusCode::kFaultInjected);
+    EXPECT_TRUE(ur.ok() || ur.status().code() == StatusCode::kFaultInjected);
+    eng.stop();
+    EXPECT_FALSE(eng.running());
+    if (ur.ok()) {
+      EXPECT_EQ(eng.version(), ur.value());
+    }
   }
 }
 

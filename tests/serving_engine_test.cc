@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -561,31 +562,264 @@ TEST(ServingLive, ConcurrentProducersAndRestart) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
 
   // Restart serves again.
-  EXPECT_FALSE(eng.degraded());
   eng.start();
   auto again = eng.submit_query(0.5).get();
   EXPECT_TRUE(again.ok()) << again.status().to_string();
   eng.stop();
 }
 
-// The sharded layer's snapshot handle: pins the published version and
-// reports invalid the moment another epoch commits into the replica.
-TEST(ShardedSnapshot, PinsVersionAndDetectsCommits) {
-  Sharded<DynamicIntervalTree> layer(2);
-  ASSERT_TRUE(layer.bulk_insert(make_intervals(32, 10, 0.0, 1.0, 0.1, 0)).ok());
-  auto snap = layer.snapshot();
-  EXPECT_TRUE(snap.valid());
-  EXPECT_EQ(snap.version(), layer.version());
-  EXPECT_EQ(snap->size(), layer.size());
+// Live mode, introspection side: while the engine runs, a second thread
+// loops Engine::snapshot() + stab_batch (and the version()/size() getters).
+// Each reply must equal the brute-force oracle at the version its snapshot
+// reports, reconstructed afterwards from the update futures.
+TEST(ServingLive, SnapshotIntrospectionIsRaceFreeWhileRunning) {
+  Config cfg;
+  cfg.max_batch = 32;
+  cfg.max_delay_us = 150;
+  IntervalEngine eng(cfg, Routing::kRange, 4, 4);
+  const auto base = make_intervals(512, 31, 0.0, 1.0, 0.05, 0);
+  ASSERT_TRUE(eng.bulk_load(base).ok());
+  eng.start();
 
-  layer.stage_insert(Interval{0.1, 0.2, 500});
-  EXPECT_TRUE(snap.valid());  // staging publishes nothing
+  struct Read {
+    uint64_t version;
+    size_t size;
+    std::vector<std::vector<uint32_t>> items;
+  };
+  const std::vector<double> qs = {0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95};
+  std::atomic<bool> done{false};
+  std::vector<Read> reads;
+  std::thread reader([&] {
+    uint64_t last = 0;
+    do {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      auto snap = eng.snapshot();
+      auto r = snap->stab_batch(qs);
+      EXPECT_TRUE(r.ok()) << r.status().to_string();
+      if (!r.ok()) continue;
+      Read rd{snap->version(), snap->size(), {}};
+      for (size_t i = 0; i < qs.size(); ++i) rd.items.push_back(r.result(i));
+      reads.push_back(std::move(rd));
+      uint64_t v = eng.version();
+      EXPECT_GE(v, last);  // published versions only move forward
+      EXPECT_GT(eng.size(), 0u);
+      last = v;
+    } while (!done.load(std::memory_order_acquire));
+  });
+
+  primitives::Rng rng(32);
+  std::vector<std::pair<Interval, std::future<Expected<uint64_t>>>> updates;
+  uint32_t next_id = 70000;
+  for (int epoch = 0; epoch < 16; ++epoch) {
+    for (int j = 0; j < 24; ++j) {
+      double a = rng.next_double();
+      Interval iv{a, a + 0.03, next_id++};
+      updates.emplace_back(iv, eng.submit_insert(iv));
+    }
+    updates.back().second.wait();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  eng.stop();
+
+  std::map<uint64_t, std::vector<Interval>> by_version;
+  for (auto& [iv, fut] : updates) {
+    auto r = fut.get();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    by_version[r.value()].push_back(iv);
+  }
+  std::map<uint64_t, std::vector<Interval>> live_at;
+  std::vector<Interval> live = base;
+  live_at[1] = live;
+  for (auto& [ver, ivs] : by_version) {
+    live.insert(live.end(), ivs.begin(), ivs.end());
+    live_at[ver] = live;
+  }
+  std::set<uint64_t> seen;
+  for (const Read& rd : reads) seen.insert(rd.version);
+  EXPECT_GE(seen.size(), 2u);  // the reads straddled commits
+  for (const Read& rd : reads) {
+    auto it = live_at.find(rd.version);
+    ASSERT_NE(it, live_at.end()) << "unknown version " << rd.version;
+    EXPECT_EQ(rd.size, it->second.size());
+    for (size_t i = 0; i < qs.size(); ++i) {
+      std::vector<uint32_t> got = rd.items[i];
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, brute_stab(it->second, qs[i])) << rd.version;
+    }
+  }
+}
+
+// A snapshot pins one Version: across two commits and one rolled-back
+// commit it keeps returning the pre-commit results, size and version
+// bitwise, while the layer itself moves on.
+TEST(ShardedSnapshot, PinsVersionAcrossCommits) {
+  Sharded<DynamicIntervalTree> layer(Routing::kRange, 4, 4);
+  const auto base = make_intervals(256, 10, 0.0, 1.0, 0.1, 0);
+  ASSERT_TRUE(layer.bulk_insert(base).ok());
+  std::vector<double> qs(64);
+  primitives::Rng rng(40);
+  for (double& q : qs) q = rng.next_double();
+
+  auto snap = layer.snapshot();
+  ASSERT_NE(snap, nullptr);
+  const uint64_t ver0 = snap->version();
+  const size_t size0 = snap->size();
+  const auto stab0 = snap->stab_batch(qs);
+  const auto count0 = snap->stab_count_batch(qs);
+  EXPECT_EQ(ver0, layer.version());
+
+  for (const Interval& iv : make_intervals(48, 11, 0.0, 1.0, 0.1, 1000)) {
+    layer.stage_insert(iv);
+  }
+  EXPECT_EQ(layer.snapshot(), snap);  // staging publishes nothing
   ASSERT_TRUE(layer.commit().ok());
-  EXPECT_FALSE(snap.valid());  // the pinned epoch is gone
+  for (size_t i = 0; i < base.size(); i += 5) layer.stage_erase(base[i]);
+  ASSERT_TRUE(layer.commit().ok());
+  {
+    fault::ScopedFault fail("shard_apply", 0, 0);
+    for (const Interval& iv : make_intervals(48, 12, 0.0, 1.0, 0.1, 2000)) {
+      layer.stage_insert(iv);
+    }
+    EXPECT_FALSE(layer.commit().ok());
+    layer.discard_staged();
+  }
+  EXPECT_EQ(layer.version(), ver0 + 2);
+  EXPECT_NE(layer.size(), size0);
+
+  EXPECT_EQ(snap->version(), ver0);
+  EXPECT_EQ(snap->size(), size0);
+  const auto stab1 = snap->stab_batch(qs);
+  ASSERT_TRUE(stab1.ok());
+  EXPECT_EQ(stab1.items(), stab0.items());
+  EXPECT_EQ(stab1.offsets(), stab0.offsets());
+  EXPECT_EQ(snap->stab_count_batch(qs), count0);
 
   parallel::ShardedSnapshot<DynamicIntervalTree> empty;
-  EXPECT_TRUE(empty.empty());
-  EXPECT_FALSE(empty.valid());
+  EXPECT_EQ(empty, nullptr);
+}
+
+// Write only what changed: an epoch whose records all fall in one range
+// shard replaces that shard alone — the other shards are the very same
+// objects in the old and the new Version. A commit that fails leaves the
+// published Version pointer and every snapshot's answers unchanged.
+TEST(ShardedSnapshot, CommitCopiesOnlyTouchedShards) {
+  Sharded<DynamicIntervalTree> layer(Routing::kRange, 4, 4);
+  ASSERT_TRUE(
+      layer.bulk_insert(make_intervals(1024, 13, 0.0, 1.0, 0.01, 0)).ok());
+  const std::vector<double> splits = layer.splits();
+  ASSERT_EQ(splits.size(), 3u);
+  std::vector<double> qs(64);
+  primitives::Rng rng(41);
+  for (double& q : qs) q = rng.next_double();
+
+  constexpr size_t kTarget = 2;  // owns [splits[1], splits[2])
+  auto in_target = [&](uint32_t id0) {
+    std::vector<Interval> ivs;
+    for (uint32_t i = 0; i < 16; ++i) {
+      double l = splits[1] + (splits[2] - splits[1]) * (i + 0.5) / 16;
+      ivs.push_back(Interval{l, l + 0.001, id0 + i});
+    }
+    return ivs;
+  };
+  auto old = layer.snapshot();
+  for (const Interval& iv : in_target(5000)) {
+    ASSERT_EQ(layer.shard_of(iv), kTarget);
+    layer.stage_insert(iv);
+  }
+  ASSERT_TRUE(layer.commit().ok());
+  auto now = layer.snapshot();
+  ASSERT_EQ(now->version(), old->version() + 1);
+  for (size_t s = 0; s < 4; ++s) {
+    if (s == kTarget) {
+      EXPECT_NE(&old->shard(s), &now->shard(s));
+      EXPECT_EQ(now->shard(s).size(), old->shard(s).size() + 16);
+    } else {
+      EXPECT_EQ(&old->shard(s), &now->shard(s)) << "shard " << s;
+    }
+  }
+
+  const auto old_stab = old->stab_batch(qs);
+  const auto now_stab = now->stab_batch(qs);
+  {
+    fault::ScopedFault fail("shard_apply", 0, kTarget);
+    for (const Interval& iv : in_target(6000)) layer.stage_insert(iv);
+    EXPECT_FALSE(layer.commit().ok());
+  }
+  EXPECT_EQ(layer.snapshot(), now);  // the same published Version object
+  EXPECT_EQ(layer.stab_batch(qs).items(), now_stab.items());
+  EXPECT_EQ(now->stab_batch(qs).items(), now_stab.items());
+  EXPECT_EQ(old->stab_batch(qs).items(), old_stab.items());
+  EXPECT_EQ(old->stab_batch(qs).offsets(), old_stab.offsets());
+  layer.discard_staged();
+}
+
+// One writer, one concurrent reader on a bare Sharded: the reader loops
+// snapshot() + stab_batch while the main thread commits 16 epochs, and
+// every reply equals the brute-force stab over the live set of the
+// version it reports. The writer waits for a fresh read after each commit
+// so reads and commits interleave.
+TEST(ShardedSnapshot, ConcurrentReaderSeesWholeVersions) {
+  constexpr int kEpochs = 16;
+  Sharded<DynamicIntervalTree> layer(Routing::kRange, 4, 4);
+  const auto base = make_intervals(512, 14, 0.0, 1.0, 0.05, 0);
+  ASSERT_TRUE(layer.bulk_insert(base).ok());
+
+  // The live set of every version, fixed before the reader starts.
+  std::vector<std::vector<Interval>> ins(kEpochs), ers(kEpochs);
+  std::vector<std::vector<Interval>> live_at(kEpochs + 2);
+  live_at[1] = base;
+  for (int e = 0; e < kEpochs; ++e) {
+    ins[e] = make_intervals(24, 100 + e, 0.0, 1.0, 0.05, 10000 + 100 * e);
+    for (int j = 0; j < 8; ++j) ers[e].push_back(base[8 * e + j]);
+    std::vector<Interval> live = live_at[e + 1];
+    live.insert(live.end(), ins[e].begin(), ins[e].end());
+    for (const Interval& iv : ers[e]) {
+      live.erase(std::remove(live.begin(), live.end(), iv), live.end());
+    }
+    live_at[e + 2] = std::move(live);
+  }
+
+  std::vector<double> qs(32);
+  primitives::Rng rng(42);
+  for (double& q : qs) q = rng.next_double();
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  size_t mismatches = 0, bad_versions = 0;
+  std::thread reader([&] {
+    do {
+      auto snap = layer.snapshot();
+      uint64_t v = snap->version();
+      auto r = snap->stab_batch(qs);
+      if (!r.ok() || v >= live_at.size() || v == 0) {
+        ++bad_versions;
+      } else {
+        for (size_t i = 0; i < qs.size(); ++i) {
+          std::vector<uint32_t> got = r.result(i);
+          std::sort(got.begin(), got.end());
+          if (got != brute_stab(live_at[v], qs[i])) ++mismatches;
+        }
+      }
+      reads.fetch_add(1, std::memory_order_release);
+    } while (!done.load(std::memory_order_acquire));
+  });
+  for (int e = 0; e < kEpochs; ++e) {
+    for (const Interval& iv : ins[e]) layer.stage_insert(iv);
+    for (const Interval& iv : ers[e]) layer.stage_erase(iv);
+    uint64_t seen = reads.load(std::memory_order_acquire);
+    auto v = layer.commit();
+    ASSERT_TRUE(v.ok()) << v.status().to_string();
+    EXPECT_EQ(v.value(), uint64_t(e + 2));
+    while (reads.load(std::memory_order_acquire) < seen + 2) {
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad_versions, 0u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(reads.load(), uint64_t(2 * kEpochs));
+  EXPECT_EQ(layer.size(), live_at.back().size());
 }
 
 }  // namespace
