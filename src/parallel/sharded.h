@@ -49,13 +49,12 @@
 //
 // Epoch API: a serving loop alternates write batches and query batches
 // without external locking by staging updates on the Sharded layer —
-// begin_epoch() names the next version, stage_insert / stage_erase buffer
-// records without touching any shard, and commit() partitions the staged
-// batch by shard, applies every shard's bulk_insert + bulk_erase in
-// parallel (insertions first, then erasures), and publishes the next
-// version. A commit with nothing staged publishes nothing: version() is
-// unchanged. Staged records are invisible until their commit, so query
-// batches may be freely interleaved with staging.
+// stage_insert / stage_erase buffer records without touching any shard,
+// and commit() partitions the staged batch by shard, applies every shard's
+// bulk_insert + bulk_erase in parallel (insertions first, then erasures),
+// and publishes the next version. A commit with nothing staged publishes
+// nothing: version() is unchanged. Staged records are invisible until
+// their commit, so query batches may be freely interleaved with staging.
 //
 // Versions: everything a query reads — one shared_ptr<const Structure> per
 // shard, the range partition's split points and coverage bounds, and the
@@ -1036,11 +1035,6 @@ class Sharded {
   size_t staged_erases() const { return staged_ers_.size(); }
   // Number of staged erasures the last commit() actually applied.
   size_t last_commit_erased() const { return last_commit_erased_; }
-
-  // Names the epoch the next commit() will publish. Declarative: staging is
-  // buffered either way; serving loops call this to label the write batch
-  // they are filling.
-  uint64_t begin_epoch() const { return version() + 1; }
 
   void stage_insert(const Record& rec) { staged_ins_.push_back(rec); }
   void stage_erase(const Record& rec) { staged_ers_.push_back(rec); }

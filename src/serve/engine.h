@@ -32,19 +32,25 @@
 // still fail the whole epoch after cfg.commit_retries attempts — a
 // documented limitation (docs/SERVING.md).
 //
-// Determinism contract: run_trace() replays a fixed request trace with a
-// logical (injected) clock, single-threaded on the caller — admission
-// decisions, batch boundaries, versions, and query results are a pure
-// function of (trace, config), bitwise-identical at every WEG_NUM_THREADS.
-// Live mode (start()/submit_*) uses the same flush logic against the wall
-// clock: deadlines then affect batching boundaries, never results.
+// One flush core: trace replay and the live threads share the request
+// types (PendingQuery, PendingUpdate), the trigger rule (flush_trigger),
+// the query flush (flush_queries) and the epoch path (form_epoch ->
+// commit_epoch). The modes differ only in the time they pass in — the
+// trace's logical at_us or the wall clock — and in where an epoch commits:
+// inline in run_trace(), on the committer thread live.
+//
+// Determinism contract: run_trace() replays a fixed request trace on the
+// caller's thread — admission decisions, batch boundaries, versions, and
+// query results are a pure function of (trace, config), bitwise-identical
+// at every WEG_NUM_THREADS. Live mode (start()/submit_*) runs the same
+// core against the wall clock: deadlines then affect batch boundaries,
+// never results.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -54,6 +60,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -193,9 +200,10 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Initial data load, one bulk epoch. Engine must be stopped.
+  // Initial data load, one bulk epoch. FailedPrecondition while running:
+  // the committer is then the layer's only writer.
   Status bulk_load(const std::vector<Record>& recs) {
-    assert(!running_);
+    if (running_) return Status::FailedPrecondition(kRunningMsg);
     return layer_.bulk_insert(recs);
   }
 
@@ -228,20 +236,8 @@ class Engine {
     }
     // A producer racing stop() may have slipped a request in after the
     // batcher's final drain; fail it rather than leave its future hanging.
-    std::vector<PendingQuery> leftq;
-    query_q_.drain_into(leftq, ~size_t{0});
-    for (PendingQuery& r : leftq) {
-      r.done.set_value(Expected<QueryReply>(
-          Status::FailedPrecondition("serving engine stopped")));
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<PendingUpdate> leftu;
-    update_q_.drain_into(leftu, ~size_t{0});
-    for (PendingUpdate& r : leftu) {
-      r.done.set_value(Expected<uint64_t>(
-          Status::FailedPrecondition("serving engine stopped")));
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    fail_leftovers(query_q_);
+    fail_leftovers(update_q_);
   }
 
   bool running() const { return running_; }
@@ -249,22 +245,7 @@ class Engine {
   std::future<Expected<QueryReply>> submit_query(const Query& q) {
     PendingQuery r;
     r.query = q;
-    r.admitted_us = now_us();
-    auto fut = r.done.get_future();
-    if (!accepting_.load(std::memory_order_acquire)) {
-      r.done.set_value(Expected<QueryReply>(
-          Status::FailedPrecondition("serving engine is not running")));
-      return fut;
-    }
-    if (!query_q_.try_push(r)) {
-      queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-      r.done.set_value(Expected<QueryReply>(
-          Status::ResourceExhausted("query admission queue full")));
-      return fut;
-    }
-    queries_admitted_.fetch_add(1, std::memory_order_relaxed);
-    poke();
-    return fut;
+    return submit(query_q_, std::move(r), queries_admitted_, queries_rejected_);
   }
 
   std::future<Expected<uint64_t>> submit_insert(const Record& rec) {
@@ -276,67 +257,112 @@ class Engine {
 
   // --- trace mode -------------------------------------------------------
 
-  // Deterministic replay: processes `trace` (non-decreasing at_us) inline
-  // on the calling thread with the trace's logical clock — before admitting
-  // the event at time T, every flush whose deadline falls at or before T
-  // fires in deadline order (queries before updates on ties). Admission
-  // rejects when the pending batch already holds queue_capacity requests.
-  // The result is a pure function of (trace, config): bitwise-identical at
-  // every worker count. Engine must be stopped.
+  // Deterministic replay of `trace` on the calling thread, with the trace's
+  // at_us as the clock. Each event is one batcher pass: first every
+  // deadline due by its time fires, in deadline order (queries before
+  // updates on ties), then the event is admitted and a full batch flushes.
+  // After the last event the rest drains, each batch at its own deadline.
+  // Admission rejects when the pending batch already holds queue_capacity
+  // requests. Failures are outcomes: an event earlier than the one before
+  // it fails alone with InvalidArgument and is not admitted, and a call
+  // while the engine runs fails every event with FailedPrecondition and
+  // leaves the layer untouched. The result is a pure function of (trace,
+  // config): bitwise-identical at every worker count.
   std::vector<Outcome> run_trace(const std::vector<Event>& trace) {
-    assert(!running_);
     std::vector<Outcome> out(trace.size());
-    std::vector<TraceReq> pq, pu;
-    constexpr uint64_t kNever = ~uint64_t{0};
-    auto deadline = [&](const std::vector<TraceReq>& pend) {
-      return pend.empty() ? kNever : pend.front().at + cfg_.max_delay_us;
+    for (size_t i = 0; i < trace.size(); ++i) {
+      out[i].admitted_at_us = out[i].completed_at_us = trace[i].at_us;
+    }
+    if (running_) {
+      for (Outcome& o : out) o.status = Status::FailedPrecondition(kRunningMsg);
+      return out;
+    }
+    std::vector<PendingQuery> pq;
+    std::vector<PendingUpdate> pu;
+    // Trace position and reply of every request in pq / pu.
+    std::vector<std::pair<size_t, std::future<Expected<QueryReply>>>> qwait;
+    std::vector<std::pair<size_t, std::future<Expected<uint64_t>>>> uwait;
+
+    // The core completes each flushed request; its reply becomes the
+    // request's outcome, stamped with the logical flush time `when`.
+    auto flush_q = [&](std::atomic<uint64_t>* why, uint64_t when) {
+      const uint64_t ver = layer_.version();  // the snapshot the batch pins
+      flush_queries(pq, why);
+      for (auto& [i, fut] : qwait) {
+        Expected<QueryReply> r = fut.get();
+        out[i].completed_at_us = when;
+        out[i].version = ver;  // also reported by a failed query
+        if (r.ok()) {
+          out[i].items = std::move(r.value().items);
+        } else {
+          out[i].status = r.status();
+        }
+      }
+      qwait.clear();
+    };
+    auto flush_u = [&](std::atomic<uint64_t>* why, uint64_t when) {
+      Epoch ep = form_epoch(pu, why);
+      if (!ep.requests.empty()) commit_epoch(ep);
+      for (auto& [i, fut] : uwait) {
+        Expected<uint64_t> r = fut.get();
+        out[i].completed_at_us = when;
+        if (r.ok()) {
+          out[i].version = r.value();
+        } else {
+          out[i].status = r.status();
+        }
+      }
+      uwait.clear();
+    };
+    // One batcher pass at logical time `now`: queries, then the epoch.
+    auto pass = [&](uint64_t now) {
+      if (auto* why = flush_trigger(pq, now, false)) flush_q(why, now);
+      if (auto* why = flush_trigger(pu, now, false)) flush_u(why, now);
     };
 
-    uint64_t prev_at = 0;
+    uint64_t clock = 0;  // time of the latest in-order event
     for (size_t i = 0; i < trace.size(); ++i) {
       const Event& ev = trace[i];
-      assert(ev.at_us >= prev_at && "trace timestamps must be sorted");
-      prev_at = ev.at_us;
-      (void)prev_at;
-      out[i].admitted_at_us = ev.at_us;
-      for (;;) {  // fire every deadline due by now, chronologically
-        uint64_t dq = deadline(pq), du = deadline(pu);
-        if (std::min(dq, du) > ev.at_us) break;
-        if (dq <= du) {
-          trace_flush_queries(pq, out, dq, &deadline_flushes_);
-        } else {
-          trace_flush_updates(pu, out, du, &deadline_flushes_);
-        }
-      }
-      std::vector<TraceReq>& pend = ev.kind == RequestKind::kQuery ? pq : pu;
-      if (pend.size() >= cfg_.queue_capacity) {
-        out[i].status = Status::ResourceExhausted(
-            ev.kind == RequestKind::kQuery ? "query admission queue full"
-                                           : "update admission queue full");
-        out[i].completed_at_us = ev.at_us;
-        auto& ctr = ev.kind == RequestKind::kQuery ? queries_rejected_
-                                                   : updates_rejected_;
-        ctr.fetch_add(1, std::memory_order_relaxed);
+      if (ev.at_us < clock) {
+        out[i].status = Status::InvalidArgument(
+            "trace event " + std::to_string(i) + " at " +
+            std::to_string(ev.at_us) + " us precedes an earlier event at " +
+            std::to_string(clock) + " us");
+        requests_failed_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      pend.push_back(TraceReq{ev.kind, ev.at_us, i, ev.query, ev.rec});
-      auto& ctr = ev.kind == RequestKind::kQuery ? queries_admitted_
-                                                 : updates_admitted_;
-      ctr.fetch_add(1, std::memory_order_relaxed);
-      if (ev.kind == RequestKind::kQuery) {
-        if (pq.size() >= cfg_.max_batch) {
-          trace_flush_queries(pq, out, ev.at_us, &size_flushes_);
-        }
-      } else if (pu.size() >= cfg_.max_batch) {
-        trace_flush_updates(pu, out, ev.at_us, &size_flushes_);
+      clock = ev.at_us;
+      for (uint64_t d; (d = std::min(deadline(pq), deadline(pu))) <= clock;) {
+        pass(d);
       }
-    }
-    while (!pq.empty() || !pu.empty()) {  // end-of-trace drain
-      uint64_t dq = deadline(pq), du = deadline(pu);
-      if (dq <= du) {
-        trace_flush_queries(pq, out, dq, &drain_flushes_);
+      const bool query = ev.kind == RequestKind::kQuery;
+      if ((query ? pq.size() : pu.size()) >= cfg_.queue_capacity) {
+        out[i].status = queue_full(query);
+        (query ? queries_rejected_ : updates_rejected_)
+            .fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (query) {
+        PendingQuery r{ev.query, clock, {}};
+        qwait.emplace_back(i, r.done.get_future());
+        pq.push_back(std::move(r));
+        queries_admitted_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        trace_flush_updates(pu, out, du, &drain_flushes_);
+        PendingUpdate r{ev.kind, ev.rec, clock, {}};
+        uwait.emplace_back(i, r.done.get_future());
+        pu.push_back(std::move(r));
+        updates_admitted_.fetch_add(1, std::memory_order_relaxed);
+      }
+      pass(clock);
+    }
+    // End-of-trace drain: nothing is due at `clock` any more, so the rule
+    // names each batch a drain flush; it completes at its own deadline.
+    while (!pq.empty() || !pu.empty()) {
+      const uint64_t dq = deadline(pq), du = deadline(pu);
+      if (dq <= du) {
+        flush_q(flush_trigger(pq, clock, true), dq);
+      } else {
+        flush_u(flush_trigger(pu, clock, true), du);
       }
     }
     return out;
@@ -377,8 +403,10 @@ class Engine {
   }
 
  private:
-  // --- shared plumbing --------------------------------------------------
+  // --- the flush core, shared by trace replay and the live threads -------
 
+  // A request waiting in an admission queue or a forming batch.
+  // `admitted_us` is the wall clock live and the event's at_us in a trace.
   struct PendingQuery {
     Query query{};
     uint64_t admitted_us = 0;
@@ -390,24 +418,34 @@ class Engine {
     uint64_t admitted_us = 0;
     std::promise<Expected<uint64_t>> done;
   };
-  struct TraceReq {
-    RequestKind kind;
-    uint64_t at;
-    size_t idx;  // position in the trace / outcome array
-    Query query;
-    Record rec;
-  };
-  // One epoch handed from batcher to committer, guarded by commit_mu_.
+  // One screened epoch: the records to apply and the requests they answer.
+  // Live, the batcher hands it to the committer under commit_mu_.
   struct Epoch {
     std::vector<Record> inserts, erases;
     std::vector<PendingUpdate> requests;
   };
 
-  uint64_t now_us() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start_tp_)
-            .count());
+  static constexpr uint64_t kNever = ~uint64_t{0};
+  static constexpr const char* kRunningMsg =
+      "serving engine is running; stop() it first";
+
+  // When the oldest waiter of `pend` reaches max_delay_us; kNever if empty.
+  template <typename Req>
+  uint64_t deadline(const std::vector<Req>& pend) const {
+    return pend.empty() ? kNever
+                        : pend.front().admitted_us + cfg_.max_delay_us;
+  }
+
+  // The trigger rule: whether `pend` flushes at time `now`, as the Stats
+  // counter naming why — full (size), its deadline passed (deadline) or
+  // the engine is draining (drain) — or nullptr while it keeps waiting.
+  template <typename Req>
+  std::atomic<uint64_t>* flush_trigger(const std::vector<Req>& pend,
+                                       uint64_t now, bool stopping) {
+    if (pend.empty()) return nullptr;
+    if (pend.size() >= cfg_.max_batch) return &size_flushes_;
+    if (now >= deadline(pend)) return &deadline_flushes_;
+    return stopping ? &drain_flushes_ : nullptr;
   }
 
   void note_batch(size_t n, std::atomic<uint64_t>* trigger_ctr) {
@@ -416,209 +454,11 @@ class Engine {
     batch_size_hist_[b].fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Stages ins+ers and commits, retrying the commit up to
-  // cfg_.commit_retries extra times (transient faults); on final failure
-  // the staged buffers are dropped and the layer still publishes its old
-  // Version (Sharded's all-or-nothing contract). Counts the epoch.
-  Expected<uint64_t> apply_delta(const std::vector<Record>& ins,
-                                 const std::vector<Record>& ers) {
-    for (const Record& r : ins) layer_.stage_insert(r);
-    for (const Record& r : ers) layer_.stage_erase(r);
-    for (int attempt = 0;; ++attempt) {
-      Expected<uint64_t> v = layer_.commit();
-      if (v.ok()) {
-        epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-        return v;
-      }
-      if (attempt >= cfg_.commit_retries) {
-        layer_.discard_staged();
-        epochs_failed_.fetch_add(1, std::memory_order_relaxed);
-        return v;
-      }
-      commit_retries_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Admission-to-epoch screening: validates each record and rejects ids
-  // duplicated within the forming epoch, so a malformed request fails alone
-  // instead of poisoning the commit. Returns the per-request Status, OK for
-  // records that made it into the epoch.
-  template <typename GetRec>
-  static std::vector<Status> screen(size_t n, GetRec&& get,
-                                    std::vector<Record>* ins,
-                                    std::vector<Record>* ers) {
-    std::vector<Status> verdict(n);
-    std::unordered_set<uint32_t> epoch_ids;
-    for (size_t i = 0; i < n; ++i) {
-      auto [kind, rec] = get(i);
-      Status s = parallel::Sharded<Structure>::validate(rec, i);
-      if constexpr (requires(const Record& r) { r.id; }) {
-        if (s.ok() && kind == RequestKind::kInsert &&
-            !epoch_ids.insert(rec.id).second) {
-          s = Status::InvalidArgument("submitted record " + std::to_string(i) +
-                                      ": duplicate id " +
-                                      std::to_string(rec.id) +
-                                      " within epoch");
-        }
-      }
-      if (s.ok()) {
-        (kind == RequestKind::kInsert ? ins : ers)->push_back(rec);
-      }
-      verdict[i] = std::move(s);
-    }
-    return verdict;
-  }
-
-  // --- trace-mode internals ---------------------------------------------
-
-  void trace_flush_queries(std::vector<TraceReq>& pq, std::vector<Outcome>& out,
-                           uint64_t when, std::atomic<uint64_t>* trigger_ctr) {
-    if (pq.empty()) return;
-    note_batch(pq.size(), trigger_ctr);
-    auto snap = layer_.snapshot();
-    std::vector<Query> qs;
-    qs.reserve(pq.size());
-    for (const TraceReq& r : pq) qs.push_back(r.query);
-    parallel::BatchResult<Item> res = Traits::run(*snap, qs, cfg_);
-    for (size_t i = 0; i < pq.size(); ++i) {
-      Outcome& o = out[pq[i].idx];
-      o.completed_at_us = when;
-      o.version = snap->version();
-      if (res.ok()) {
-        o.items = res.result(i);
-      } else {
-        // Poisoned batch: per-request isolation by re-running each query
-        // alone, so only requests whose own sub-batch trips see the fault.
-        parallel::BatchResult<Item> one = Traits::run(*snap, {qs[i]}, cfg_);
-        if (one.ok()) {
-          o.items = one.result(0);
-        } else {
-          o.status = one.status();
-          requests_failed_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    query_batches_.fetch_add(1, std::memory_order_relaxed);
-    pq.clear();
-  }
-
-  void trace_flush_updates(std::vector<TraceReq>& pu, std::vector<Outcome>& out,
-                           uint64_t when, std::atomic<uint64_t>* trigger_ctr) {
-    if (pu.empty()) return;
-    note_batch(pu.size(), trigger_ctr);
-    std::vector<Record> ins, ers;
-    std::vector<Status> verdict = screen(
-        pu.size(),
-        [&](size_t i) {
-          return std::pair<RequestKind, const Record&>(pu[i].kind, pu[i].rec);
-        },
-        &ins, &ers);
-    std::vector<size_t> live;
-    for (size_t i = 0; i < pu.size(); ++i) {
-      if (verdict[i].ok()) {
-        live.push_back(pu[i].idx);
-        continue;
-      }
-      out[pu[i].idx].status = std::move(verdict[i]);
-      out[pu[i].idx].completed_at_us = when;
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    pu.clear();
-    if (live.empty()) return;
-    Expected<uint64_t> r = apply_delta(ins, ers);
-    for (size_t idx : live) {
-      out[idx].completed_at_us = when;
-      if (r.ok()) {
-        out[idx].version = r.value();
-      } else {
-        out[idx].status = r.status();
-        requests_failed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // --- live-mode internals ----------------------------------------------
-
-  std::future<Expected<uint64_t>> submit_update(RequestKind kind,
-                                                const Record& rec) {
-    PendingUpdate r;
-    r.kind = kind;
-    r.rec = rec;
-    r.admitted_us = now_us();
-    auto fut = r.done.get_future();
-    if (!accepting_.load(std::memory_order_acquire)) {
-      r.done.set_value(Expected<uint64_t>(
-          Status::FailedPrecondition("serving engine is not running")));
-      return fut;
-    }
-    if (!update_q_.try_push(r)) {
-      updates_rejected_.fetch_add(1, std::memory_order_relaxed);
-      r.done.set_value(Expected<uint64_t>(
-          Status::ResourceExhausted("update admission queue full")));
-      return fut;
-    }
-    updates_admitted_.fetch_add(1, std::memory_order_relaxed);
-    poke();
-    return fut;
-  }
-
-  void poke() {
-    {
-      std::lock_guard<std::mutex> lk(wake_mu_);
-      wake_pending_ = true;
-    }
-    wake_cv_.notify_all();
-  }
-
-  bool committing() const {
-    return committing_.load(std::memory_order_relaxed);
-  }
-
-  void batcher_loop() {
-    std::vector<PendingQuery> pq;
-    std::vector<PendingUpdate> pu;
-    for (;;) {
-      bool stopping = stop_requested_.load(std::memory_order_acquire);
-      if (pq.size() < cfg_.max_batch) {
-        query_q_.drain_into(pq, cfg_.max_batch - pq.size());
-      }
-      if (pu.size() < cfg_.max_batch) {
-        update_q_.drain_into(pu, cfg_.max_batch - pu.size());
-      }
-      uint64_t now = now_us();
-      if (!pq.empty()) {
-        bool full = pq.size() >= cfg_.max_batch;
-        bool late = now >= pq.front().admitted_us + cfg_.max_delay_us;
-        if (full || late || stopping) {
-          run_query_batch(pq, full     ? &size_flushes_
-                              : late   ? &deadline_flushes_
-                                       : &drain_flushes_);
-        }
-      }
-      if (!pu.empty() && !committing()) {
-        bool full = pu.size() >= cfg_.max_batch;
-        bool late = now >= pu.front().admitted_us + cfg_.max_delay_us;
-        if (full || late || stopping) {
-          hand_off_epoch(pu, full     ? &size_flushes_
-                             : late   ? &deadline_flushes_
-                                      : &drain_flushes_);
-        }
-      }
-      if (stopping && pq.empty() && pu.empty() && query_q_.empty() &&
-          update_q_.empty() && !committing()) {
-        break;
-      }
-      wait_for_work(pq, pu, stopping);
-    }
-    {
-      std::lock_guard<std::mutex> lk(commit_mu_);
-      committer_exit_ = true;
-    }
-    commit_cv_.notify_all();
-  }
-
-  void run_query_batch(std::vector<PendingQuery>& batch,
-                       std::atomic<uint64_t>* trigger_ctr) {
+  // Runs `batch` on one pinned snapshot and completes every request. A
+  // poisoned batch falls back to re-running each query alone, so only the
+  // requests whose own sub-batch trips the fault see its Status.
+  void flush_queries(std::vector<PendingQuery>& batch,
+                     std::atomic<uint64_t>* trigger_ctr) {
     note_batch(batch.size(), trigger_ctr);
     bool overlap = committing();
     auto snap = layer_.snapshot();
@@ -646,25 +486,162 @@ class Engine {
     batch.clear();
   }
 
-  void hand_off_epoch(std::vector<PendingUpdate>& pu,
-                      std::atomic<uint64_t>* trigger_ctr) {
+  // Admission-to-epoch screening of the pending updates: validates each
+  // record and rejects ids duplicated within the forming epoch, so a
+  // malformed request fails alone instead of poisoning the commit. Returns
+  // the epoch of the rest; empties `pu`.
+  Epoch form_epoch(std::vector<PendingUpdate>& pu,
+                   std::atomic<uint64_t>* trigger_ctr) {
     note_batch(pu.size(), trigger_ctr);
     Epoch ep;
-    std::vector<Status> verdict = screen(
-        pu.size(),
-        [&](size_t i) {
-          return std::pair<RequestKind, const Record&>(pu[i].kind, pu[i].rec);
-        },
-        &ep.inserts, &ep.erases);
+    std::unordered_set<uint32_t> epoch_ids;
     for (size_t i = 0; i < pu.size(); ++i) {
-      if (verdict[i].ok()) {
-        ep.requests.push_back(std::move(pu[i]));
+      PendingUpdate& u = pu[i];
+      Status s = parallel::Sharded<Structure>::validate(u.rec, i);
+      if constexpr (requires(const Record& r) { r.id; }) {
+        if (s.ok() && u.kind == RequestKind::kInsert &&
+            !epoch_ids.insert(u.rec.id).second) {
+          s = Status::InvalidArgument("submitted record " + std::to_string(i) +
+                                      ": duplicate id " +
+                                      std::to_string(u.rec.id) +
+                                      " within epoch");
+        }
+      }
+      if (!s.ok()) {
+        u.done.set_value(Expected<uint64_t>(std::move(s)));
+        requests_failed_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      pu[i].done.set_value(Expected<uint64_t>(std::move(verdict[i])));
-      requests_failed_.fetch_add(1, std::memory_order_relaxed);
+      (u.kind == RequestKind::kInsert ? ep.inserts : ep.erases)
+          .push_back(u.rec);
+      ep.requests.push_back(std::move(u));
     }
     pu.clear();
+    return ep;
+  }
+
+  // Stages the epoch and commits it, retrying up to cfg_.commit_retries
+  // extra times (transient faults); on final failure the staged buffers
+  // are dropped and the layer still publishes its old Version (Sharded's
+  // all-or-nothing contract). Then completes every request of the epoch.
+  void commit_epoch(Epoch& ep) {
+    for (const Record& r : ep.inserts) layer_.stage_insert(r);
+    for (const Record& r : ep.erases) layer_.stage_erase(r);
+    Expected<uint64_t> v = layer_.commit();
+    for (int attempt = 0; !v.ok() && attempt < cfg_.commit_retries;
+         ++attempt) {
+      commit_retries_.fetch_add(1, std::memory_order_relaxed);
+      v = layer_.commit();
+    }
+    if (v.ok()) {
+      epochs_committed_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      layer_.discard_staged();
+      epochs_failed_.fetch_add(1, std::memory_order_relaxed);
+    }
+    for (PendingUpdate& u : ep.requests) {
+      u.done.set_value(v);
+      if (!v.ok()) requests_failed_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  static Status queue_full(bool query) {
+    return Status::ResourceExhausted(query ? "query admission queue full"
+                                           : "update admission queue full");
+  }
+
+  // --- live-mode internals ----------------------------------------------
+
+  uint64_t now_us() const {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start_tp_)
+            .count());
+  }
+
+  std::future<Expected<uint64_t>> submit_update(RequestKind kind,
+                                                const Record& rec) {
+    PendingUpdate r;
+    r.kind = kind;
+    r.rec = rec;
+    return submit(update_q_, std::move(r), updates_admitted_,
+                  updates_rejected_);
+  }
+
+  template <typename Req>
+  auto submit(BoundedMpscQueue<Req>& q, Req r, std::atomic<uint64_t>& admitted,
+              std::atomic<uint64_t>& rejected) {
+    r.admitted_us = now_us();
+    auto fut = r.done.get_future();
+    if (!accepting_.load(std::memory_order_acquire)) {
+      r.done.set_value(
+          Status::FailedPrecondition("serving engine is not running"));
+      return fut;
+    }
+    if (!q.try_push(r)) {
+      rejected.fetch_add(1, std::memory_order_relaxed);
+      r.done.set_value(queue_full(std::is_same_v<Req, PendingQuery>));
+      return fut;
+    }
+    admitted.fetch_add(1, std::memory_order_relaxed);
+    poke();
+    return fut;
+  }
+
+  template <typename Req>
+  void fail_leftovers(BoundedMpscQueue<Req>& q) {
+    std::vector<Req> left;
+    q.drain_into(left, ~size_t{0});
+    for (Req& r : left) {
+      r.done.set_value(Status::FailedPrecondition("serving engine stopped"));
+      requests_failed_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  void poke() {
+    {
+      std::lock_guard<std::mutex> lk(wake_mu_);
+      wake_pending_ = true;
+    }
+    wake_cv_.notify_all();
+  }
+
+  bool committing() const {
+    return committing_.load(std::memory_order_relaxed);
+  }
+
+  void batcher_loop() {
+    std::vector<PendingQuery> pq;
+    std::vector<PendingUpdate> pu;
+    for (;;) {
+      bool stopping = stop_requested_.load(std::memory_order_acquire);
+      if (pq.size() < cfg_.max_batch) {
+        query_q_.drain_into(pq, cfg_.max_batch - pq.size());
+      }
+      if (pu.size() < cfg_.max_batch) {
+        update_q_.drain_into(pu, cfg_.max_batch - pu.size());
+      }
+      uint64_t now = now_us();
+      if (auto* why = flush_trigger(pq, now, stopping)) flush_queries(pq, why);
+      if (!committing()) {
+        if (auto* why = flush_trigger(pu, now, stopping)) {
+          hand_off(form_epoch(pu, why));
+        }
+      }
+      if (stopping && pq.empty() && pu.empty() && query_q_.empty() &&
+          update_q_.empty() && !committing()) {
+        break;
+      }
+      wait_for_work(pq, pu, stopping);
+    }
+    {
+      std::lock_guard<std::mutex> lk(commit_mu_);
+      committer_exit_ = true;
+    }
+    commit_cv_.notify_all();
+  }
+
+  void hand_off(Epoch ep) {
     if (ep.requests.empty()) return;
     {
       std::lock_guard<std::mutex> lk(commit_mu_);
@@ -674,8 +651,8 @@ class Engine {
     commit_cv_.notify_all();
   }
 
-  // Commits each handed-off epoch, which publishes its Version, then
-  // completes the epoch's requests and frees the batcher to hand off the
+  // Commits each handed-off epoch, which publishes its Version and
+  // completes the epoch's requests, then frees the batcher to hand off the
   // next one.
   void committer_loop() {
     std::unique_lock<std::mutex> lk(commit_mu_);
@@ -684,11 +661,7 @@ class Engine {
       if (!committing()) break;
       Epoch ep = std::move(inflight_);
       lk.unlock();
-      Expected<uint64_t> r = apply_delta(ep.inserts, ep.erases);
-      for (PendingUpdate& u : ep.requests) {
-        u.done.set_value(r);
-        if (!r.ok()) requests_failed_.fetch_add(1, std::memory_order_relaxed);
-      }
+      commit_epoch(ep);
       lk.lock();
       committing_.store(false, std::memory_order_relaxed);
       // poke() takes wake_mu_; never hold commit_mu_ across it.
@@ -708,15 +681,10 @@ class Engine {
     }
     uint64_t now = now_us();
     constexpr uint64_t kIdleWaitUs = 5000;
-    uint64_t next = now + kIdleWaitUs;
-    if (!pq.empty()) {
-      next = std::min(next, pq.front().admitted_us + cfg_.max_delay_us);
-    }
+    uint64_t next = std::min(now + kIdleWaitUs, deadline(pq));
     // An update deadline only matters when the committer could accept the
     // epoch; otherwise the committer's completion poke is the wake signal.
-    if (!pu.empty() && commit_ready) {
-      next = std::min(next, pu.front().admitted_us + cfg_.max_delay_us);
-    }
+    if (commit_ready) next = std::min(next, deadline(pu));
     if (stopping) next = std::min(next, now + 200);
     if (next <= now) return;
     wake_cv_.wait_for(lk, std::chrono::microseconds(next - now));

@@ -12,6 +12,10 @@
 //     query_poison faults fail their own request, batch-mates succeed),
 //   * ScopedFault(shard_apply): the engine retries, propagates the failure
 //     to exactly the epoch's requests, and serves normally once disarmed,
+//   * a golden replay whose outcomes and Stats are fixed values, so a
+//     change to the flush core that moves any of them shows,
+//   * failures as values: an out-of-order trace event fails alone, and
+//     bulk_load / run_trace on a running engine fail without writing,
 //   * live-mode snapshot isolation: every concurrent query's reply matches
 //     the brute-force oracle at exactly the version it reports.
 #include <gtest/gtest.h>
@@ -379,6 +383,226 @@ TEST(ServingTrace, ShardApplyFaultRetriesPropagatesAndRecovers) {
   EXPECT_EQ(eng.stats().epochs_committed, 1u);
 }
 
+// The golden replay: one fixed trace that walks every trigger and failure
+// path of the flush core, with its outcomes and Stats pinned to the values
+// the engine produced when they were captured. Under `wide` (capacity 64,
+// max_batch 4) it hits size flushes for queries and updates, deadline
+// flushes and the end-of-trace drain; the armed query_poison fails the
+// shard-0 stabs alone, and the screen fails a NaN insert and a duplicate
+// id. Trace mode can only reject admission when queue_capacity < max_batch,
+// which rules out size flushes, so the same trace is replayed a second time
+// under `tight` (capacity 3, max_batch 8) to pin the reject path.
+struct Golden {
+  StatusCode code;
+  uint64_t version;
+  uint64_t completed_at_us;
+  size_t items;
+};
+
+void expect_golden(const std::vector<Outcome>& out,
+                   const std::vector<Golden>& want) {
+  ASSERT_EQ(out.size(), want.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].status.code(), want[i].code) << "event " << i;
+    EXPECT_EQ(out[i].version, want[i].version) << "event " << i;
+    EXPECT_EQ(out[i].completed_at_us, want[i].completed_at_us) << "event " << i;
+    EXPECT_EQ(out[i].items.size(), want[i].items) << "event " << i;
+  }
+}
+
+void expect_stats(const serve::Stats& got, const serve::Stats& want) {
+  EXPECT_EQ(got.queries_admitted, want.queries_admitted);
+  EXPECT_EQ(got.queries_rejected, want.queries_rejected);
+  EXPECT_EQ(got.updates_admitted, want.updates_admitted);
+  EXPECT_EQ(got.updates_rejected, want.updates_rejected);
+  EXPECT_EQ(got.requests_failed, want.requests_failed);
+  EXPECT_EQ(got.query_batches, want.query_batches);
+  EXPECT_EQ(got.size_flushes, want.size_flushes);
+  EXPECT_EQ(got.deadline_flushes, want.deadline_flushes);
+  EXPECT_EQ(got.drain_flushes, want.drain_flushes);
+  EXPECT_EQ(got.epochs_committed, want.epochs_committed);
+  EXPECT_EQ(got.epochs_failed, want.epochs_failed);
+  EXPECT_EQ(got.commit_retries, want.commit_retries);
+  EXPECT_EQ(got.overlap_batches, want.overlap_batches);
+  EXPECT_EQ(got.batch_size_hist, want.batch_size_hist);
+}
+
+TEST(ServingTrace, FixedTraceGoldenOutcomes) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto base = make_intervals(128, 61, 0.0, 100.0, 0.5, 0);
+  auto by_l = [](const Interval& a, const Interval& b) { return a.l < b.l; };
+  const double lo_q = std::min_element(base.begin(), base.end(), by_l)->l;
+  const double hi_q = std::max_element(base.begin(), base.end(), by_l)->l;
+
+  std::vector<Event> trace;
+  for (uint64_t t = 0; t < 4; ++t) {  // a burst: poisoned, size-flushed
+    trace.push_back(q_at(t, t % 2 == 0 ? lo_q : hi_q));
+  }
+  trace.push_back(ins_at(10, Interval{50.0, 50.4, 5000}));
+  trace.push_back(ins_at(11, Interval{kNaN, 60.0, 5001}));  // malformed
+  trace.push_back(ins_at(12, Interval{70.0, 70.4, 5000}));  // dup id
+  trace.push_back(ers_at(13, base[3]));
+  trace.push_back(ins_at(14, Interval{20.0, 20.4, 5002}));
+  trace.push_back(q_at(100, hi_q));
+  // t=250 runs after the t=14 epoch committed; then an update burst.
+  trace.push_back(q_at(250, 50.2));
+  for (uint32_t i = 0; i < 4; ++i) {
+    trace.push_back(ins_at(500 + i, Interval{30.0 + i, 30.4 + i, 5010 + i}));
+  }
+  trace.push_back(q_at(520, 31.2));
+  trace.push_back(q_at(521, lo_q));
+  trace.push_back(ins_at(530, Interval{40.0, 40.4, 5020}));
+
+  auto replay = [&](const Config& cfg) {
+    IntervalEngine eng(cfg, Routing::kRange, 4);
+    EXPECT_TRUE(eng.bulk_load(base).ok());
+    fault::ScopedFault poison("query_poison", 0, 0);
+    auto out = eng.run_trace(trace);
+    return std::make_pair(std::move(out), eng.stats());
+  };
+  Config wide;
+  wide.queue_capacity = 64;
+  wide.max_batch = 4;
+  wide.max_delay_us = 200;
+  Config tight = wide;
+  tight.queue_capacity = 3;
+  tight.max_batch = 8;
+
+  constexpr StatusCode kOk = StatusCode::kOk;
+  constexpr StatusCode kBad = StatusCode::kInvalidArgument;
+  constexpr StatusCode kFull = StatusCode::kResourceExhausted;
+  constexpr StatusCode kPoison = StatusCode::kFaultInjected;
+  {
+    auto [out, st] = replay(wide);
+    const std::vector<Golden> golden = {
+        {kPoison, 1, 3, 0},
+        {kOk, 1, 3, 1},
+        {kPoison, 1, 3, 0},
+        {kOk, 1, 3, 1},
+        {kOk, 2, 13, 0},
+        {kBad, 0, 13, 0},
+        {kBad, 0, 13, 0},
+        {kOk, 2, 13, 0},
+        {kOk, 3, 214, 0},
+        {kOk, 3, 300, 1},
+        {kOk, 3, 300, 3},
+        {kOk, 4, 503, 0},
+        {kOk, 4, 503, 0},
+        {kOk, 4, 503, 0},
+        {kOk, 4, 503, 0},
+        {kOk, 4, 720, 2},
+        {kPoison, 4, 720, 0},
+        {kOk, 5, 730, 0},
+    };
+    expect_golden(out, golden);
+    serve::Stats want;
+    want.queries_admitted = 8;
+    want.updates_admitted = 10;
+    want.requests_failed = 5;
+    want.query_batches = 3;
+    want.size_flushes = 3;
+    want.deadline_flushes = 2;
+    want.drain_flushes = 2;
+    want.epochs_committed = 4;
+    want.batch_size_hist[1] = 2;
+    want.batch_size_hist[2] = 2;
+    want.batch_size_hist[3] = 3;
+    expect_stats(st, want);
+  }
+  {
+    auto [out, st] = replay(tight);
+    const std::vector<Golden> golden = {
+        {kPoison, 1, 200, 0},
+        {kOk, 1, 200, 1},
+        {kPoison, 1, 200, 0},
+        {kFull, 0, 3, 0},
+        {kOk, 2, 210, 0},
+        {kBad, 0, 210, 0},
+        {kBad, 0, 210, 0},
+        {kFull, 0, 13, 0},
+        {kFull, 0, 14, 0},
+        {kFull, 0, 100, 0},
+        {kOk, 2, 450, 3},
+        {kOk, 3, 700, 0},
+        {kOk, 3, 700, 0},
+        {kOk, 3, 700, 0},
+        {kFull, 0, 503, 0},
+        {kOk, 3, 720, 2},
+        {kPoison, 3, 720, 0},
+        {kFull, 0, 530, 0},
+    };
+    expect_golden(out, golden);
+    serve::Stats want;
+    want.queries_admitted = 6;
+    want.queries_rejected = 2;
+    want.updates_admitted = 6;
+    want.updates_rejected = 4;
+    want.requests_failed = 5;
+    want.query_batches = 3;
+    want.deadline_flushes = 3;
+    want.drain_flushes = 2;
+    want.epochs_committed = 2;
+    want.batch_size_hist[1] = 1;
+    want.batch_size_hist[2] = 4;
+    expect_stats(st, want);
+  }
+}
+
+// A trace event earlier than the one before it fails alone as a value, in
+// Debug and Release builds alike: it completes at its own time with
+// InvalidArgument, is never admitted, and every other event's outcome is
+// the one it has when the stray event is left out of the trace.
+TEST(ServingTrace, OutOfOrderEventFailsAloneAsValue) {
+  Config cfg;
+  cfg.max_batch = 8;
+  cfg.max_delay_us = 100;
+  const auto base = make_intervals(64, 71, 0.0, 1.0, 0.1, 0);
+  std::vector<Event> sorted;
+  sorted.push_back(q_at(0, 0.5));
+  sorted.push_back(ins_at(50, Interval{0.1, 0.2, 3000}));
+  sorted.push_back(q_at(300, 0.15));
+  sorted.push_back(q_at(400, 0.15));
+  std::vector<Event> trace = sorted;
+  // Two strays: a query behind t=300 and an erase behind t=50.
+  trace.insert(trace.begin() + 3, q_at(20, 0.5));
+  trace.insert(trace.begin() + 2, ers_at(10, base[0]));
+
+  auto replay = [&](const std::vector<Event>& tr) {
+    IntervalEngine eng(cfg, Routing::kHash, 2);
+    EXPECT_TRUE(eng.bulk_load(base).ok());
+    auto out = eng.run_trace(tr);
+    return std::make_pair(std::move(out), eng.stats());
+  };
+  auto [want, want_st] = replay(sorted);
+  auto [out, st] = replay(trace);
+  ASSERT_EQ(out.size(), trace.size());
+  std::vector<Outcome> kept;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (i != 2 && i != 4) {
+      kept.push_back(out[i]);
+      continue;
+    }
+    EXPECT_EQ(out[i].status.code(), StatusCode::kInvalidArgument) << i;
+    EXPECT_EQ(out[i].admitted_at_us, trace[i].at_us) << i;
+    EXPECT_EQ(out[i].completed_at_us, trace[i].at_us) << i;
+    EXPECT_EQ(out[i].version, 0u) << i;
+    EXPECT_TRUE(out[i].items.empty()) << i;
+  }
+  ASSERT_EQ(kept.size(), want.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_TRUE(kept[i].status.ok()) << i;
+    EXPECT_EQ(kept[i].items, want[i].items) << i;
+    EXPECT_EQ(kept[i].version, want[i].version) << i;
+    EXPECT_EQ(kept[i].admitted_at_us, want[i].admitted_at_us) << i;
+    EXPECT_EQ(kept[i].completed_at_us, want[i].completed_at_us) << i;
+  }
+  EXPECT_EQ(st.requests_failed, 2u);
+  EXPECT_EQ(st.queries_admitted, want_st.queries_admitted);
+  EXPECT_EQ(st.updates_admitted, want_st.updates_admitted);
+  EXPECT_EQ(st.query_batches, want_st.query_batches);
+  EXPECT_EQ(st.epochs_committed, want_st.epochs_committed);
+}
+
 // A kNN engine over the 2-d log forest: determinism between identical
 // engines and membership of every reply in the correct epoch's live set.
 TEST(ServingTrace, KnnEngineServesPointFamily) {
@@ -566,6 +790,49 @@ TEST(ServingLive, ConcurrentProducersAndRestart) {
   auto again = eng.submit_query(0.5).get();
   EXPECT_TRUE(again.ok()) << again.status().to_string();
   eng.stop();
+}
+
+// Control calls on a running engine fail as values: the committer stays
+// the layer's only writer. bulk_load returns FailedPrecondition, run_trace
+// fails every event with it, and neither touches the published Version;
+// the engine keeps serving afterwards.
+TEST(ServingLive, ControlCallsWhileRunningFailAsValues) {
+  Config cfg;
+  cfg.max_batch = 8;
+  cfg.max_delay_us = 100;
+  IntervalEngine eng(cfg, Routing::kHash, 2);
+  const auto base = make_intervals(64, 72, 0.0, 1.0, 0.1, 0);
+  ASSERT_TRUE(eng.bulk_load(base).ok());
+  eng.start();
+  const uint64_t v0 = eng.version();
+  const size_t size0 = eng.size();
+
+  Status load = eng.bulk_load(make_intervals(16, 73, 0.0, 1.0, 0.1, 1000));
+  EXPECT_EQ(load.code(), StatusCode::kFailedPrecondition);
+  std::vector<Event> trace;
+  trace.push_back(ins_at(5, Interval{0.1, 0.2, 2000}));
+  trace.push_back(ers_at(6, base[0]));
+  trace.push_back(q_at(7, 0.15));
+  auto out = eng.run_trace(trace);
+  ASSERT_EQ(out.size(), trace.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].status.code(), StatusCode::kFailedPrecondition) << i;
+    EXPECT_EQ(out[i].completed_at_us, trace[i].at_us) << i;
+    EXPECT_EQ(out[i].version, 0u) << i;
+    EXPECT_TRUE(out[i].items.empty()) << i;
+  }
+  EXPECT_EQ(eng.version(), v0);
+  EXPECT_EQ(eng.size(), size0);
+
+  auto r = eng.submit_query(0.15).get();
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r.value().version, v0);
+  std::vector<uint32_t> got = r.value().items;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, brute_stab(base, 0.15));
+  eng.stop();
+  EXPECT_EQ(eng.version(), v0);
+  EXPECT_EQ(eng.stats().epochs_committed, 0u);
 }
 
 // Live mode, introspection side: while the engine runs, a second thread

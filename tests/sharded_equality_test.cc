@@ -261,7 +261,7 @@ TEST(ShardedEquality, EpochInterleavingMatchesSerialReplay) {
   std::vector<Interval> live;
   auto qs = stab_points(128, 0x90D);
   for (int epoch = 0; epoch < 5; ++epoch) {
-    uint64_t named = sharded.begin_epoch();
+    uint64_t named = sharded.version() + 1;
     std::vector<Interval> ins(all.begin() + next, all.begin() + next + 4000);
     next += 4000;
     std::vector<Interval> ers;

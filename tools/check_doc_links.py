@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Fail if docs reference repo paths that do not exist.
+"""Fail if docs reference repo paths that do not exist, or name code that
+is no longer at the line they point to.
 
 Scans docs/*.md and README.md for tokens that look like repo paths
 (src/..., tests/..., bench/..., examples/..., docs/..., tools/...), strips
-any :line suffix, and exits 1 listing every path that is missing from the
-tree — so file moves and renames cannot silently strand the documentation.
-Glob-ish tokens (containing * or <) are skipped.
+any :line suffix, and lists every path that is missing from the tree — so
+file moves and renames cannot silently strand the documentation. Glob-ish
+tokens (containing * or <) are skipped.
+
+Line pointers are checked too: where a backticked name directly precedes a
+path:N pointer, as in (`Sharded::commit`, src/parallel/sharded.h:1065), the
+name's last :: component must appear as a word within +-3 lines of line N,
+so moved code cannot leave a pointer aimed at the wrong lines. Exits 1 if
+either check finds anything.
 """
 import pathlib
 import re
@@ -18,19 +25,40 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOKEN = re.compile(
     r"(?<![A-Za-z0-9_./-])"
     r"((?:src|tests|bench|examples|docs|tools)/[A-Za-z0-9_./*<>-]+)")
+# `name`, path:N — the pointer may wrap onto the next line.
+POINTER = re.compile(
+    r"`([A-Za-z_][A-Za-z0-9_:]*)(?:\(\))?`,\s+"
+    r"((?:src|tests|bench|examples|docs|tools)/[A-Za-z0-9_./-]+?):(\d+)")
+SLACK = 3
 
-missing = []
+missing, stale = [], []
 for md in sorted(ROOT.glob("docs/*.md")) + [ROOT / "README.md"]:
-    for lineno, line in enumerate(md.read_text().splitlines(), 1):
+    text = md.read_text()
+    for lineno, line in enumerate(text.splitlines(), 1):
         for tok in TOKEN.findall(line):
             if "*" in tok or "<" in tok:
                 continue  # glob / placeholder, not a concrete path
             path = re.sub(r":\d+(-\d+)?$", "", tok).rstrip(".,;:)")
             if not (ROOT / path).exists():
                 missing.append(f"{md.relative_to(ROOT)}:{lineno}: {path}")
+    for m in POINTER.finditer(text):
+        name, path, target = m.group(1), m.group(2), int(m.group(3))
+        if not (ROOT / path).is_file():
+            continue  # reported above
+        word = re.compile(r"\b" + re.escape(name.split("::")[-1]) + r"\b")
+        lines = (ROOT / path).read_text().splitlines()
+        window = lines[max(0, target - 1 - SLACK):target + SLACK]
+        if not any(word.search(l) for l in window):
+            lineno = text.count("\n", 0, m.start()) + 1
+            stale.append(f"{md.relative_to(ROOT)}:{lineno}: `{name}` is not "
+                         f"within {SLACK} lines of {path}:{target}")
 
 if missing:
     print("stale doc links (path does not exist):")
     print("\n".join(missing))
+if stale:
+    print("stale doc line pointers (name not at the line):")
+    print("\n".join(stale))
+if missing or stale:
     sys.exit(1)
 print("doc links OK")
