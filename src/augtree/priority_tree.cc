@@ -260,14 +260,6 @@ std::vector<size_t> StaticPriorityTree::query_count_batch(
   });
 }
 
-size_t StaticPriorityTree::height() const {
-  auto rec = [&](auto&& self, uint32_t v) -> size_t {
-    if (v == kNull) return 0;
-    return 1 + std::max(self(self, pool_[v].left), self(self, pool_[v].right));
-  };
-  return rec(rec, root_);
-}
-
 bool StaticPriorityTree::validate() const {
   size_t count = 0;
   bool ok = true;
@@ -289,39 +281,26 @@ bool StaticPriorityTree::validate() const {
 // DynamicPriorityTree
 // ---------------------------------------------------------------------------
 
-uint32_t DynamicPriorityTree::alloc() {
-  if (!free_.empty()) {
-    uint32_t v = free_.back();
-    free_.pop_back();
-    pool_[v] = Node{};
-    return v;
-  }
-  pool_.push_back(Node{});
-  return static_cast<uint32_t>(pool_.size() - 1);
-}
-
 void DynamicPriorityTree::insert(const PPoint& p) {
   ++live_;
-  ++root_weight_;
-  asym::count_write();  // virtual-root weight
-  if (root_ == kNull) {
-    root_ = alloc();
-    pool_[root_].critical = true;
-    pool_[root_].has_point = true;
-    pool_[root_].pt = p;
-    pool_[root_].init_weight = 2;
-    pool_[root_].weight = 2;
-    asym::count_write();
+  if (sk_.root == kNull) {
+    ++sk_.root_weight;
+    asym::count_write(2);  // virtual-root weight, the new root
+    sk_.root = sk_.alloc_leaf();
+    Node& nd = sk_.pool[sk_.root];
+    nd.has_point = true;
+    nd.pt = p;
+    nd.weight = 2;
     return;
   }
   std::vector<uint32_t> path;
   PPoint carried = p;
   bool carried_dead = false;  // dead points can be displaced downward too
-  uint32_t v = root_;
+  uint32_t v = sk_.root;
   while (true) {
     path.push_back(v);
     asym::count_read();
-    Node& nd = pool_[v];
+    Node& nd = sk_.pool[v];
     // Swap down the chain of stored points: the node keeps the higher
     // priority (dead points participate — they still bound the subtree).
     if (nd.has_point && carried.y > nd.pt.y) {
@@ -333,7 +312,7 @@ void DynamicPriorityTree::insert(const PPoint& p) {
     v = carried.x <= nd.split ? nd.left : nd.right;
   }
   // At the leaf: place or split.
-  Node& leaf = pool_[v];
+  Node& leaf = sk_.pool[v];
   if (!leaf.has_point) {
     leaf.has_point = true;
     leaf.pt = carried;
@@ -342,69 +321,45 @@ void DynamicPriorityTree::insert(const PPoint& p) {
   } else {
     // Leaf keeps its (higher-y, post-swap) point and becomes internal; the
     // carried point descends into a fresh child leaf, its sibling empty.
-    // Fresh nodes start at weight 1 (no point); bump_and_rebalance below
-    // accounts for the newly inserted point on the whole path.
+    // Fresh leaves start at weight 1 (no point); the bump below accounts
+    // for the newly inserted point on the whole path.
     double split = carried.x;
-    uint32_t cl = alloc();
-    uint32_t cr = alloc();
-    Node& nd = pool_[v];  // re-fetch (alloc may reallocate)
+    uint32_t cl = sk_.alloc_leaf();
+    uint32_t cr = sk_.alloc_leaf();
+    Node& nd = sk_.pool[v];  // re-fetch (alloc may reallocate)
     nd.split = split;
     nd.left = cl;
     nd.right = cr;
     uint32_t target = cl;  // carried.x <= split
-    pool_[cl].critical = pool_[cr].critical = true;
-    pool_[cl].init_weight = pool_[cr].init_weight = 2;
-    pool_[cl].weight = pool_[cr].weight = 1;
-    pool_[target].has_point = true;
-    pool_[target].pt = carried;
-    pool_[target].dead = carried_dead;
+    sk_.pool[target].has_point = true;
+    sk_.pool[target].pt = carried;
+    sk_.pool[target].dead = carried_dead;
     asym::count_write(2);
     path.push_back(target);
   }
-  bump_and_rebalance(path);
+  auto at = sk_.bump(path, live_ + dead_);
+  if (at.v != kNull) rebuild(at);
 }
 
-void DynamicPriorityTree::bump_and_rebalance(
-    const std::vector<uint32_t>& path) {
-  for (uint32_t v : path) {
-    if (pool_[v].critical) {
-      asym::count_write();
-      ++pool_[v].weight;
-    }
-  }
-  if (root_weight_ >= 2 * root_init_ && live_ + dead_ > 4) {
-    rebuild(root_, kNull, 0, root_init_);
-    return;
-  }
-  for (size_t i = 0; i < path.size(); ++i) {
-    uint32_t v = path[i];
-    const Node& nd = pool_[v];
-    if (nd.critical && nd.weight >= 2 * nd.init_weight && nd.init_weight > 1) {
-      if (i == 0) {
-        rebuild(root_, kNull, 0, root_init_);
-      } else {
-        uint32_t parent = path[i - 1];
-        int side = pool_[parent].right == v ? 1 : 0;
-        rebuild(v, parent, side, nd.init_weight);
-      }
-      return;
-    }
-  }
-}
-
-void DynamicPriorityTree::collect_live(uint32_t v,
-                                       std::vector<PPoint>& out) const {
-  if (v == kNull) return;
+size_t DynamicPriorityTree::collect_live(uint32_t v,
+                                         std::vector<PPoint>& out) const {
+  size_t dead = 0;
+  if (v == kNull) return dead;
   std::vector<uint32_t> st{v};
   while (!st.empty()) {
     uint32_t u = st.back();
     st.pop_back();
-    const Node& nd = pool_[u];
+    const Node& nd = sk_.pool[u];
     asym::count_read();
-    if (nd.has_point && !nd.dead) out.push_back(nd.pt);
+    if (nd.has_point && nd.dead) {
+      ++dead;
+    } else if (nd.has_point) {
+      out.push_back(nd.pt);
+    }
     if (nd.left != kNull) st.push_back(nd.left);
     if (nd.right != kNull) st.push_back(nd.right);
   }
+  return dead;
 }
 
 uint32_t DynamicPriorityTree::build_range(std::vector<PPoint>& pts, size_t lo,
@@ -420,13 +375,13 @@ uint32_t DynamicPriorityTree::build_range(std::vector<PPoint>& pts, size_t lo,
   // point, a secondary node splits size s >= 2 into two strictly smaller
   // ranges, so N(s) <= 2s - 1 by induction.
   std::vector<uint32_t> slots =
-      parallel::claim_build_slots(pool_, free_, 2 * n);
+      parallel::claim_build_slots(sk_.pool, sk_.free_list, 2 * n);
   std::atomic<uint32_t> cursor{0};
   uint32_t root = build_range_ids(pts, lo, hi, sibling_points, slots, cursor);
   // Return the unused slack to the free list.
   for (size_t k = cursor.load(std::memory_order_relaxed); k < slots.size();
        ++k) {
-    free_.push_back(slots[k]);
+    sk_.free_list.push_back(slots[k]);
   }
   return root;
 }
@@ -440,8 +395,8 @@ uint32_t DynamicPriorityTree::build_range_ids(
   asym::count_write();
   // Claimed slots all hold Node{} and the pool never resizes during the
   // build, so holding the reference across child calls is safe.
-  Node& nd = pool_[id];
-  nd.critical = is_critical_weight(w, sibling_points + 1, alpha_);
+  Node& nd = sk_.pool[id];
+  nd.critical = is_critical_weight(w, sibling_points + 1, sk_.alpha);
   nd.init_weight = w;
   nd.weight = w;
   size_t begin = lo;
@@ -485,25 +440,11 @@ uint32_t DynamicPriorityTree::build_range_ids(
   return id;
 }
 
-void DynamicPriorityTree::rebuild(uint32_t v, uint32_t parent, int side,
-                                  uint64_t old_init) {
-  ++rebuilds_;
+void DynamicPriorityTree::rebuild(const AlphaSkeleton<Node>::Rebuild& at) {
+  ++sk_.rebuilds;
   std::vector<PPoint> pts;
-  collect_live(v, pts);
-  // Free old subtree.
-  {
-    std::vector<uint32_t> st{v};
-    while (!st.empty()) {
-      uint32_t u = st.back();
-      st.pop_back();
-      if (pool_[u].left != kNull) st.push_back(pool_[u].left);
-      if (pool_[u].right != kNull) st.push_back(pool_[u].right);
-      bool was_dead = pool_[u].has_point && pool_[u].dead;
-      if (was_dead) --dead_;
-      pool_[u] = Node{};
-      free_.push_back(u);
-    }
-  }
+  dead_ -= collect_live(at.v, pts);  // dead points die with the subtree
+  sk_.free_subtree(at.v);
   // Sort by x. Small subtrees (the frequent leaf-level reconstructions)
   // fit in the symmetric memory (size Omega(log n)) and sort there for the
   // cost of reading them in and writing them out; larger subtrees use the
@@ -525,25 +466,10 @@ void DynamicPriorityTree::rebuild(uint32_t v, uint32_t parent, int side,
     pts.swap(sorted);
   }
   uint32_t fresh = pts.empty() ? kNull : build_range(pts, 0, pts.size(), 0);
-  if (parent == kNull) {
-    root_ = fresh;
-    root_weight_ = pts.size() + 1;
-    root_init_ = root_weight_;
-  } else {
-    asym::count_write();
-    if (side == 0) {
-      pool_[parent].left = fresh;
-    } else {
-      pool_[parent].right = fresh;
-    }
-  }
-  if (fresh != kNull && parent != kNull &&
-      rebuild_root_exception(old_init, alpha_) && pool_[fresh].critical &&
-      !pool_[fresh].has_point) {
-    // §7.3.2 exception: the fresh root stays secondary. We only unmark when
-    // it holds no point (labels drift until the next rebuild otherwise).
-    pool_[fresh].critical = false;
-  }
+  // The §7.3.2 exception applies only to a point-less fresh root (a root
+  // holding a point stays critical; labels drift until the next rebuild).
+  sk_.splice(at, fresh, pts.size(),
+             [](const Node& nd) { return !nd.has_point; });
 }
 
 bool DynamicPriorityTree::erase(const PPoint& p) {
@@ -551,7 +477,7 @@ bool DynamicPriorityTree::erase(const PPoint& p) {
   auto rec = [&](auto&& self, uint32_t v) -> void {
     if (v == kNull || found) return;
     asym::count_read();
-    Node& nd = pool_[v];
+    Node& nd = sk_.pool[v];
     if (nd.has_point && nd.pt.y < p.y) return;  // heap prune
     if (nd.has_point && !nd.dead && nd.pt == p) {
       asym::count_write();
@@ -564,12 +490,12 @@ bool DynamicPriorityTree::erase(const PPoint& p) {
     if (p.x <= nd.split) self(self, nd.left);
     if (!found && p.x >= nd.split) self(self, nd.right);
   };
-  rec(rec, root_);
+  rec(rec, sk_.root);
   if (!found) return false;
   --live_;
   ++dead_;
   if (dead_ * 2 >= live_ + dead_ && live_ + dead_ > 8) {
-    rebuild(root_, kNull, 0, root_init_);
+    rebuild(sk_.whole());
   }
   return true;
 }
@@ -581,7 +507,7 @@ void DynamicPriorityTree::query_rec(uint32_t v, double xlo, double xhi,
   if (v == kNull) return;
   if (xhi < xl || xlo > xr) return;  // x-range disjoint
   asym::count_read();
-  const Node& nd = pool_[v];
+  const Node& nd = sk_.pool[v];
   if (nd.has_point) {
     if (nd.pt.y < yb) return;  // heap prune (dead points prune too)
     if (!nd.dead && nd.pt.x >= xl && nd.pt.x <= xr) report(nd.pt);
@@ -593,7 +519,7 @@ void DynamicPriorityTree::query_rec(uint32_t v, double xlo, double xhi,
 std::vector<uint32_t> DynamicPriorityTree::query(double xl, double xr,
                                                  double yb) const {
   std::vector<uint32_t> out;
-  query_rec(root_, -kInf, kInf, xl, xr, yb, [&](const PPoint& p) {
+  query_rec(sk_.root, -kInf, kInf, xl, xr, yb, [&](const PPoint& p) {
     asym::count_write();
     out.push_back(p.id);
   });
@@ -603,7 +529,7 @@ std::vector<uint32_t> DynamicPriorityTree::query(double xl, double xr,
 size_t DynamicPriorityTree::query_count(double xl, double xr,
                                         double yb) const {
   size_t c = 0;
-  query_rec(root_, -kInf, kInf, xl, xr, yb, [&](const PPoint&) { ++c; });
+  query_rec(sk_.root, -kInf, kInf, xl, xr, yb, [&](const PPoint&) { ++c; });
   return c;
 }
 
@@ -613,7 +539,7 @@ parallel::BatchResult<uint32_t> DynamicPriorityTree::query_batch(
       qs.size(),
       [&](size_t i) { return query_count(qs[i].xl, qs[i].xr, qs[i].yb); },
       [&](size_t i, uint32_t* out) {
-        query_rec(root_, -kInf, kInf, qs[i].xl, qs[i].xr, qs[i].yb,
+        query_rec(sk_.root, -kInf, kInf, qs[i].xl, qs[i].xr, qs[i].yb,
                   [&](const PPoint& p) {
                     asym::count_write();
                     *out++ = p.id;
@@ -628,21 +554,13 @@ std::vector<size_t> DynamicPriorityTree::query_count_batch(
   });
 }
 
-size_t DynamicPriorityTree::height() const {
-  auto rec = [&](auto&& self, uint32_t v) -> size_t {
-    if (v == kNull) return 0;
-    return 1 + std::max(self(self, pool_[v].left), self(self, pool_[v].right));
-  };
-  return rec(rec, root_);
-}
-
 bool DynamicPriorityTree::validate() const {
   bool ok = true;
   size_t live_seen = 0;
   auto rec = [&](auto&& self, uint32_t v, double xlo, double xhi,
                  double ymax) -> void {
     if (v == kNull) return;
-    const Node& nd = pool_[v];
+    const Node& nd = sk_.pool[v];
     double next_ymax = ymax;
     if (nd.has_point) {
       if (nd.pt.y > ymax) ok = false;
@@ -655,7 +573,7 @@ bool DynamicPriorityTree::validate() const {
       self(self, nd.right, nd.split, xhi, next_ymax);
     }
   };
-  rec(rec, root_, -kInf, kInf, kInf);
+  rec(rec, sk_.root, -kInf, kInf, kInf);
   return ok && live_seen == live_;
 }
 

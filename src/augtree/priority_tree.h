@@ -20,8 +20,8 @@
 // nodes (α-labeling); secondary nodes just partition x. An insertion swaps
 // the new point down the critical chain (O(log_α n) writes); deletions mark
 // points dead in place — a dead point still upper-bounds its subtree's
-// priorities, so query pruning stays correct — and the subtree is rebuilt
-// through the usual weight-doubling rule (weights here count points + 1).
+// priorities, so query pruning stays correct — and subtrees are rebuilt by
+// the AlphaSkeleton (src/augtree/alpha.h), with weights counting points + 1.
 #pragma once
 
 #include <atomic>
@@ -73,7 +73,7 @@ class StaticPriorityTree {
       const std::vector<Query3Sided>& qs) const;
 
   size_t size() const { return n_; }
-  size_t height() const;
+  size_t height() const { return tree_height(pool_, root_); }
   bool validate() const;
 
  private:
@@ -99,7 +99,7 @@ class StaticPriorityTree {
 
 class DynamicPriorityTree {
  public:
-  explicit DynamicPriorityTree(uint64_t alpha = 2) : alpha_(alpha) {}
+  explicit DynamicPriorityTree(uint64_t alpha = 2) : sk_(alpha) {}
 
   void insert(const PPoint& p);
   bool erase(const PPoint& p);  // marks dead; false if absent
@@ -114,8 +114,8 @@ class DynamicPriorityTree {
       const std::vector<Query3Sided>& qs) const;
 
   size_t size() const { return live_; }
-  size_t rebuilds() const { return rebuilds_; }
-  size_t height() const;
+  size_t rebuilds() const { return sk_.rebuilds; }
+  size_t height() const { return sk_.height(); }
   bool validate() const;
 
  private:
@@ -133,8 +133,8 @@ class DynamicPriorityTree {
     uint64_t weight = 0;
   };
 
-  uint32_t alloc();
-  void rebuild(uint32_t v, uint32_t parent, int side, uint64_t old_init);
+  // Rebuilds the subtree `at` names from its live points.
+  void rebuild(const AlphaSkeleton<Node>::Rebuild& at);
   // Post-sorted rebuild core over pts[lo, hi) (sorted by x): returns node.
   // Large rebuilds pre-grow the pool and fork sibling subtree builds.
   uint32_t build_range(std::vector<PPoint>& pts, size_t lo, size_t hi,
@@ -146,23 +146,17 @@ class DynamicPriorityTree {
                            uint64_t sibling_points,
                            const std::vector<uint32_t>& slots,
                            std::atomic<uint32_t>& cursor);
-  void collect_live(uint32_t v, std::vector<PPoint>& out) const;
-  void bump_and_rebalance(const std::vector<uint32_t>& path);
+  // Appends v's live points to out; returns the dead points it skipped.
+  size_t collect_live(uint32_t v, std::vector<PPoint>& out) const;
   // The single templated query traversal; query, query_count, and the batch
   // variants all instantiate it with different report sinks.
   template <typename F>
   void query_rec(uint32_t v, double xlo, double xhi, double xl, double xr,
                  double yb, F&& report) const;
 
-  uint64_t alpha_;
-  std::vector<Node> pool_;
-  std::vector<uint32_t> free_;
-  uint32_t root_ = kNull;
-  uint64_t root_weight_ = 1;  // points + 1
-  uint64_t root_init_ = 1;
+  AlphaSkeleton<Node> sk_;  // weights count points + 1
   size_t live_ = 0;
   size_t dead_ = 0;
-  size_t rebuilds_ = 0;
 };
 
 }  // namespace weg::augtree

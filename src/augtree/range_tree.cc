@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "src/parallel/par_build.h"
 #include "src/parallel/parallel_for.h"
 #include "src/primitives/sort.h"
 #include "src/sort/incremental_sort.h"
@@ -296,89 +295,28 @@ bool StaticRangeTree::validate() const {
 // AlphaRangeTree
 // ---------------------------------------------------------------------------
 
-uint32_t AlphaRangeTree::alloc() {
-  if (!free_.empty()) {
-    uint32_t v = free_.back();
-    free_.pop_back();
-    pool_[v] = Node{};
-    return v;
-  }
-  pool_.push_back(Node{});
-  return static_cast<uint32_t>(pool_.size() - 1);
-}
-
-void AlphaRangeTree::set_critical(uint32_t v, uint64_t w, uint64_t sw) {
-  Node& nd = pool_[v];
-  nd.critical = is_critical_weight(w, sw, alpha_);
-  if (nd.critical) {
-    nd.init_weight = w;
-    nd.weight = w;
-    asym::count_write();
-  }
-}
-
-uint64_t AlphaRangeTree::mark_rec(uint32_t v, int par_depth) {
-  if (v == kNull) return 1;
-  asym::count_read();
-  uint32_t left = pool_[v].left, right = pool_[v].right;
-  uint64_t wl = 1, wr = 1;
-  parallel::par_do_if(par_depth > 0 && left != kNull && right != kNull,
-                      [&] { wl = mark_rec(left, par_depth - 1); },
-                      [&] { wr = mark_rec(right, par_depth - 1); });
-  if (left != kNull) set_critical(left, wl, wr);
-  if (right != kNull) set_critical(right, wr, wl);
-  return wl + wr;
-}
-
-void AlphaRangeTree::mark_criticals(uint32_t v) {
-  uint64_t w = mark_rec(v, parallel::fork_depth_hint());
-  set_critical(v, w, 0);
-}
-
-void AlphaRangeTree::collect_inorder(uint32_t v,
-                                     std::vector<SkelEntry>& entries) const {
-  if (v == kNull) return;
-  std::vector<std::pair<uint32_t, bool>> st{{v, false}};
-  while (!st.empty()) {
-    auto [u, expanded] = st.back();
-    st.pop_back();
-    const Node& nd = pool_[u];
-    if (expanded) {
-      asym::count_read();
-      entries.push_back(SkelEntry{nd.pt, nd.dead});
-      continue;
-    }
-    if (nd.right != kNull) st.push_back({nd.right, false});
-    st.push_back({u, true});
-    if (nd.left != kNull) st.push_back({nd.left, false});
-  }
-}
-
-uint32_t AlphaRangeTree::build_balanced(std::vector<SkelEntry>& pts,
-                                        size_t lo, size_t hi) {
-  if (lo >= hi) return kNull;
-  // One path for every worker count: balanced_build_ids forks above the
-  // sequential cutoff and runs inline below it.
-  auto ids = parallel::claim_build_slots(pool_, free_, hi - lo);
-  return parallel::balanced_build_ids(pool_, pts, lo, hi, ids.data(),
-                                      [](Node& nd, const SkelEntry& e) {
-                                        nd.pt = e.pt;
-                                        nd.dead = e.dead;
-                                      });
+uint32_t AlphaRangeTree::build_marked(const std::vector<SkelEntry>& entries) {
+  uint32_t fresh =
+      sk_.build_balanced(entries, [](Node& nd, const SkelEntry& e) {
+        nd.pt = e.pt;
+        nd.dead = e.dead;
+      });
+  if (fresh != kNull) sk_.mark_criticals(fresh);
+  return fresh;
 }
 
 void AlphaRangeTree::fill_inners(uint32_t c, std::vector<YX>& ylist) {
   // ylist: y-sorted live points of c's subtree (including c's own point if
   // live). Critical nodes materialize it as their inner treap.
-  if (pool_[c].critical && !ylist.empty()) {
+  if (sk_.pool[c].critical && !ylist.empty()) {
     std::vector<std::pair<double, uint32_t>> es;
     es.reserve(ylist.size());
     for (const YX& e : ylist) es.emplace_back(e.y, e.id);
-    pool_[c].inner = Treap::from_sorted(es);
+    sk_.pool[c].inner = Treap::from_sorted(es);
   } else {
-    pool_[c].inner = Treap{};
+    sk_.pool[c].inner = Treap{};
   }
-  if (pool_[c].left == kNull && pool_[c].right == kNull) return;
+  if (sk_.pool[c].left == kNull && sk_.pool[c].right == kNull) return;
   // Ordered filter (Appendix A): route each entry down the skeleton to its
   // next critical node (<= O(alpha) secondary steps, Corollary 7.1). An
   // entry that *is* a node on the way stays at that node (it appears in no
@@ -395,7 +333,7 @@ void AlphaRangeTree::fill_inners(uint32_t c, std::vector<YX>& ylist) {
     uint32_t u = c;
     while (true) {
       asym::count_read();
-      const Node& nd = pool_[u];
+      const Node& nd = sk_.pool[u];
       if (u != c && nd.critical) {
         asym::count_write();
         bucket_of(u).push_back(e);
@@ -421,59 +359,10 @@ void AlphaRangeTree::fill_inners(uint32_t c, std::vector<YX>& ylist) {
   }
 }
 
-void AlphaRangeTree::rebuild(uint32_t v, uint32_t parent, int side,
-                             uint64_t old_init) {
-  ++rebuilds_;
-  std::vector<SkelEntry> entries;
-  collect_inorder(v, entries);
-  bool whole = (parent == kNull);
-  if (whole) {
-    std::vector<SkelEntry> live;
-    live.reserve(entries.size());
-    for (auto& e : entries) {
-      if (!e.dead) live.push_back(e);
-    }
-    dead_ = 0;
-    entries.swap(live);
-  }
-  // Free old subtree (treaps die with the nodes).
-  {
-    std::vector<uint32_t> st{v};
-    while (!st.empty()) {
-      uint32_t u = st.back();
-      st.pop_back();
-      if (pool_[u].left != kNull) st.push_back(pool_[u].left);
-      if (pool_[u].right != kNull) st.push_back(pool_[u].right);
-      pool_[u] = Node{};
-      free_.push_back(u);
-    }
-  }
-  uint32_t fresh = build_balanced(entries, 0, entries.size());
-  if (whole) {
-    root_ = fresh;
-    root_weight_ = entries.size() + 1;
-    root_init_ = root_weight_;
-  } else {
-    asym::count_write();
-    if (side == 0) {
-      pool_[parent].left = fresh;
-    } else {
-      pool_[parent].right = fresh;
-    }
-  }
-  if (fresh == kNull) return;
-  mark_criticals(fresh);
-  if (!whole && rebuild_root_exception(old_init, alpha_) &&
-      pool_[fresh].critical) {
-    pool_[fresh].critical = false;
-  }
-  // Rebuild the inner trees: one write-efficient y-sort of the live points,
-  // then the Appendix A ordered filter down the critical hierarchy.
-  std::vector<PPoint> live;
-  live.reserve(entries.size());
-  for (auto& e : entries) {
-    if (!e.dead) live.push_back(e.pt);
-  }
+void AlphaRangeTree::fill_inners_from(uint32_t c,
+                                      const std::vector<PPoint>& live) {
+  // One write-efficient y-sort of the live points, then the Appendix A
+  // ordered filter down the critical hierarchy.
   auto yorder = we_order_by_y(live);
   std::vector<YX> ylist(live.size());
   asym::count_read(live.size());
@@ -482,35 +371,29 @@ void AlphaRangeTree::rebuild(uint32_t v, uint32_t parent, int side,
     const PPoint& p = live[yorder[i]];
     ylist[i] = YX{p.y, p.id, p.x};
   }
-  fill_inners(fresh, ylist);
+  fill_inners(c, ylist);
 }
 
-void AlphaRangeTree::bump_and_rebalance(const std::vector<uint32_t>& path) {
-  for (uint32_t v : path) {
-    if (pool_[v].critical) {
-      asym::count_write();
-      ++pool_[v].weight;
-    }
+void AlphaRangeTree::rebuild(const AlphaSkeleton<Node>::Rebuild& at) {
+  ++sk_.rebuilds;
+  std::vector<SkelEntry> entries;
+  sk_.walk_inorder(at.v, [&](const Node& nd) {
+    entries.push_back(SkelEntry{nd.pt, nd.dead});
+  });
+  if (at.parent == kNull) {
+    std::erase_if(entries, [](const SkelEntry& e) { return e.dead; });
+    dead_ = 0;
   }
-  asym::count_write();  // virtual-root weight
-  if (root_weight_ >= 2 * root_init_ && live_ + dead_ > 4) {
-    rebuild(root_, kNull, 0, root_init_);
-    return;
+  sk_.free_subtree(at.v);  // the inner treaps die with the nodes
+  uint32_t fresh = build_marked(entries);
+  sk_.splice(at, fresh, entries.size());
+  if (fresh == kNull) return;
+  std::vector<PPoint> live;
+  live.reserve(entries.size());
+  for (const SkelEntry& e : entries) {
+    if (!e.dead) live.push_back(e.pt);
   }
-  for (size_t i = 0; i < path.size(); ++i) {
-    uint32_t v = path[i];
-    const Node& nd = pool_[v];
-    if (nd.critical && nd.weight >= 2 * nd.init_weight) {
-      if (i == 0) {
-        rebuild(root_, kNull, 0, root_init_);
-      } else {
-        uint32_t parent = path[i - 1];
-        int side = pool_[parent].right == v ? 1 : 0;
-        rebuild(v, parent, side, nd.init_weight);
-      }
-      return;
-    }
-  }
+  fill_inners_from(fresh, live);
 }
 
 AlphaRangeTree AlphaRangeTree::build(const std::vector<PPoint>& pts,
@@ -525,21 +408,9 @@ AlphaRangeTree AlphaRangeTree::build(const std::vector<PPoint>& pts,
     for (size_t i = 0; i < pts.size(); ++i) {
       entries[i] = SkelEntry{pts[order[i]], false};
     }
-    t.root_ = t.build_balanced(entries, 0, entries.size());
-    t.root_weight_ = entries.size() + 1;
-    t.root_init_ = t.root_weight_;
+    t.sk_.splice(t.sk_.whole(), t.build_marked(entries), entries.size());
     t.live_ = pts.size();
-    t.mark_criticals(t.root_);
-    std::vector<PPoint> live(pts.begin(), pts.end());
-    auto yorder = we_order_by_y(live);
-    std::vector<YX> ylist(live.size());
-    asym::count_read(live.size());
-    asym::count_write(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      const PPoint& p = live[yorder[i]];
-      ylist[i] = YX{p.y, p.id, p.x};
-    }
-    t.fill_inners(t.root_, ylist);
+    t.fill_inners_from(t.sk_.root, pts);
   }
   if (cost) *cost = region.delta();
   return t;
@@ -547,71 +418,44 @@ AlphaRangeTree AlphaRangeTree::build(const std::vector<PPoint>& pts,
 
 void AlphaRangeTree::insert(const PPoint& p) {
   ++live_;
-  ++root_weight_;
-  std::vector<uint32_t> path;
-  uint32_t nu = alloc();
-  pool_[nu].pt = p;
-  pool_[nu].critical = true;
-  pool_[nu].init_weight = 2;
-  pool_[nu].weight = 1;  // bump adds the new node's contribution
-  asym::count_write();
-  if (root_ == kNull) {
-    root_ = nu;
-    path.push_back(nu);
-  } else {
-    uint32_t v = root_;
-    while (true) {
-      path.push_back(v);
-      asym::count_read();
-      if (xless(p, pool_[v].pt)) {
-        if (pool_[v].left == kNull) {
-          pool_[v].left = nu;
-          break;
-        }
-        v = pool_[v].left;
-      } else {
-        if (pool_[v].right == kNull) {
-          pool_[v].right = nu;
-          break;
-        }
-        v = pool_[v].right;
-      }
-    }
-    path.push_back(nu);
-  }
+  uint32_t nu = sk_.alloc_leaf();
+  sk_.pool[nu].pt = p;
+  auto path =
+      sk_.attach_leaf(nu, [&](const Node& nd) { return xless(p, nd.pt); });
   // The new point joins the inner tree of every critical node on its path
   // (O(log_alpha n) treaps, O(1) expected writes each).
   for (uint32_t v : path) {
-    if (pool_[v].critical) pool_[v].inner.insert(p.y, p.id);
+    if (sk_.pool[v].critical) sk_.pool[v].inner.insert(p.y, p.id);
   }
-  bump_and_rebalance(path);
+  auto at = sk_.bump(path, live_ + dead_);
+  if (at.v != kNull) rebuild(at);
 }
 
 bool AlphaRangeTree::erase(const PPoint& p) {
   // Locate the node holding exactly p.
   std::vector<uint32_t> path;
-  uint32_t v = root_;
+  uint32_t v = sk_.root;
   uint32_t target = kNull;
   while (v != kNull) {
     path.push_back(v);
     asym::count_read();
-    const Node& nd = pool_[v];
+    const Node& nd = sk_.pool[v];
     if (nd.pt.id == p.id && nd.pt.x == p.x && nd.pt.y == p.y) {
       target = v;
       break;
     }
     v = xless(p, nd.pt) ? nd.left : nd.right;
   }
-  if (target == kNull || pool_[target].dead) return false;
+  if (target == kNull || sk_.pool[target].dead) return false;
   asym::count_write();
-  pool_[target].dead = true;
+  sk_.pool[target].dead = true;
   --live_;
   ++dead_;
   for (uint32_t u : path) {
-    if (pool_[u].critical) pool_[u].inner.erase(p.y, p.id);
+    if (sk_.pool[u].critical) sk_.pool[u].inner.erase(p.y, p.id);
   }
   if (dead_ * 2 >= live_ + dead_ && live_ + dead_ > 8) {
-    rebuild(root_, kNull, 0, root_init_);
+    rebuild(sk_.whole());
   }
   return true;
 }
@@ -620,7 +464,7 @@ template <typename F>
 void AlphaRangeTree::cover(uint32_t v, double yb, double yt, F&& emit) const {
   if (v == kNull) return;
   asym::count_read();
-  const Node& nd = pool_[v];
+  const Node& nd = sk_.pool[v];
   if (nd.critical) {
     nd.inner.report_range(yb, yt, [&](double, uint32_t id) { emit(id); });
     return;
@@ -637,7 +481,7 @@ void AlphaRangeTree::query_rec(uint32_t v, double lo, double hi, double xl,
   if (v == kNull) return;
   if (hi < xl || lo > xr) return;  // disjoint (conservative value bounds)
   asym::count_read();
-  const Node& nd = pool_[v];
+  const Node& nd = sk_.pool[v];
   if (lo >= xl && hi <= xr) {
     cover(v, yb, yt, emit);
     return;
@@ -653,7 +497,7 @@ void AlphaRangeTree::query_rec(uint32_t v, double lo, double hi, double xl,
 std::vector<uint32_t> AlphaRangeTree::query(double xl, double xr, double yb,
                                             double yt) const {
   std::vector<uint32_t> out;
-  query_rec(root_, -kInf, kInf, xl, xr, yb, yt, [&](uint32_t id) {
+  query_rec(sk_.root, -kInf, kInf, xl, xr, yb, yt, [&](uint32_t id) {
     asym::count_write();
     out.push_back(id);
   });
@@ -663,7 +507,7 @@ std::vector<uint32_t> AlphaRangeTree::query(double xl, double xr, double yb,
 size_t AlphaRangeTree::query_count(double xl, double xr, double yb,
                                    double yt) const {
   size_t c = 0;
-  query_rec(root_, -kInf, kInf, xl, xr, yb, yt, [&](uint32_t) { ++c; });
+  query_rec(sk_.root, -kInf, kInf, xl, xr, yb, yt, [&](uint32_t) { ++c; });
   return c;
 }
 
@@ -677,7 +521,7 @@ parallel::BatchResult<uint32_t> AlphaRangeTree::query_batch(
       },
       [&](size_t i, uint32_t* out) {
         const RangeQuery2D& q = qs[i];
-        query_rec(root_, -kInf, kInf, q.xl, q.xr, q.yb, q.yt,
+        query_rec(sk_.root, -kInf, kInf, q.xl, q.xr, q.yb, q.yt,
                   [&](uint32_t id) {
                     asym::count_write();
                     *out++ = id;
@@ -693,28 +537,20 @@ std::vector<size_t> AlphaRangeTree::query_count_batch(
   });
 }
 
-size_t AlphaRangeTree::height() const {
-  auto rec = [&](auto&& self, uint32_t v) -> size_t {
-    if (v == kNull) return 0;
-    return 1 + std::max(self(self, pool_[v].left), self(self, pool_[v].right));
-  };
-  return rec(rec, root_);
-}
-
 size_t AlphaRangeTree::inner_entries() const {
   size_t total = 0;
   auto rec = [&](auto&& self, uint32_t v) -> void {
     if (v == kNull) return;
-    total += pool_[v].inner.size();
-    self(self, pool_[v].left);
-    self(self, pool_[v].right);
+    total += sk_.pool[v].inner.size();
+    self(self, sk_.pool[v].left);
+    self(self, sk_.pool[v].right);
   };
-  rec(rec, root_);
+  rec(rec, sk_.root);
   return total;
 }
 
 bool AlphaRangeTree::validate() const {
-  if (root_ == kNull) return live_ == 0;
+  if (sk_.root == kNull) return live_ == 0;
   bool ok = true;
   size_t live_seen = 0;
   // Returns (weight, live count); checks BST order, critical weights, and
@@ -725,9 +561,9 @@ bool AlphaRangeTree::validate() const {
   };
   auto rec = [&](auto&& self, uint32_t v) -> R {
     if (v == kNull) return {1, 0};
-    const Node& nd = pool_[v];
-    if (nd.left != kNull && !xless(pool_[nd.left].pt, nd.pt)) ok = false;
-    if (nd.right != kNull && xless(pool_[nd.right].pt, nd.pt)) ok = false;
+    const Node& nd = sk_.pool[v];
+    if (nd.left != kNull && !xless(sk_.pool[nd.left].pt, nd.pt)) ok = false;
+    if (nd.right != kNull && xless(sk_.pool[nd.right].pt, nd.pt)) ok = false;
     R l = self(self, nd.left);
     R r = self(self, nd.right);
     uint64_t w = l.w + r.w;
@@ -740,8 +576,8 @@ bool AlphaRangeTree::validate() const {
     }
     return {w, live};
   };
-  R root_r = rec(rec, root_);
-  if (root_r.w != root_weight_) ok = false;
+  R root_r = rec(rec, sk_.root);
+  if (root_r.w != sk_.root_weight) ok = false;
   if (live_seen != live_) ok = false;
   return ok;
 }

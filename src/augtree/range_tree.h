@@ -14,10 +14,10 @@
 //   * an update touches O(log_α n) inner treaps (O(1) expected writes each),
 //   * a query may visit up to O(α log_α n) inner trees, each O(log n):
 //     O(ωk + α log_α n log n) work (Table 1, last row).
-// Balancing is reconstruction-based via the same weight-doubling rule as the
-// other α structures; critical-node inner lists are derived from their
-// critical parent's y-sorted list by an ordered filter (Appendix A), giving
-// the O((α + ω) s log_α s) rebuild bound.
+// Balancing is the AlphaSkeleton's (src/augtree/alpha.h); critical-node
+// inner lists are derived from their critical parent's y-sorted list by an
+// ordered filter (Appendix A), giving the O((α + ω) s log_α s) rebuild
+// bound.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +85,7 @@ class StaticRangeTree {
 
 class AlphaRangeTree {
  public:
-  explicit AlphaRangeTree(uint64_t alpha = 2) : alpha_(alpha) {}
+  explicit AlphaRangeTree(uint64_t alpha = 2) : sk_(alpha) {}
 
   // Bulk construction (used for the Table 1 construction row): repeated
   // insertion is also supported but slower.
@@ -106,8 +106,8 @@ class AlphaRangeTree {
       const std::vector<RangeQuery2D>& qs) const;
 
   size_t size() const { return live_; }
-  size_t rebuilds() const { return rebuilds_; }
-  size_t height() const;
+  size_t rebuilds() const { return sk_.rebuilds; }
+  size_t height() const { return sk_.height(); }
   size_t inner_entries() const;  // total augmentation size (n log_α n)
   bool validate() const;
 
@@ -143,19 +143,15 @@ class AlphaRangeTree {
     double x;
   };
 
-  uint32_t alloc();
-  void bump_and_rebalance(const std::vector<uint32_t>& path);
-  void rebuild(uint32_t v, uint32_t parent, int side, uint64_t old_init);
-  // Builds via the shared id-slice path (src/parallel/par_build.h): forks
-  // above the sequential cutoff, inline below it.
-  uint32_t build_balanced(std::vector<SkelEntry>& pts, size_t lo, size_t hi);
-  uint64_t mark_rec(uint32_t v, int par_depth);
-  void set_critical(uint32_t v, uint64_t w, uint64_t sw);
-  void mark_criticals(uint32_t v);
+  // Rebuilds the subtree `at` names; the whole tree drops dead points.
+  void rebuild(const AlphaSkeleton<Node>::Rebuild& at);
+  // Fresh skeleton over x-sorted entries, criticals marked.
+  uint32_t build_marked(const std::vector<SkelEntry>& entries);
   // Builds inner treaps for c and its critical descendants from c's y-sorted
   // live-point list by ordered filtering (Appendix A).
   void fill_inners(uint32_t c, std::vector<YX>& ylist);
-  void collect_inorder(uint32_t v, std::vector<SkelEntry>& entries) const;
+  // fill_inners over c's live points, y-sorting them first.
+  void fill_inners_from(uint32_t c, const std::vector<PPoint>& live);
 
   template <typename F>
   void cover(uint32_t v, double yb, double yt, F&& emit) const;
@@ -165,15 +161,9 @@ class AlphaRangeTree {
   void query_rec(uint32_t v, double lo, double hi, double xl, double xr,
                  double yb, double yt, F&& emit) const;
 
-  uint64_t alpha_;
-  std::vector<Node> pool_;
-  std::vector<uint32_t> free_;
-  uint32_t root_ = kNull;
-  uint64_t root_weight_ = 1;
-  uint64_t root_init_ = 1;
+  AlphaSkeleton<Node> sk_;
   size_t live_ = 0;
   size_t dead_ = 0;
-  size_t rebuilds_ = 0;
 };
 
 }  // namespace weg::augtree

@@ -6,12 +6,6 @@
 // O(log n) expected search depth, the same cost profile with far less
 // machinery.
 //
-// TreapT<true> additionally maintains subtree sizes, enabling the counting /
-// order-statistic queries of Appendix A ("other queries") at the cost of
-// O(log n) size-update writes per modification (the paper's counting variant
-// pays the same). TreapT<false> (the default inner tree) keeps updates at
-// O(1) expected writes.
-//
 // Keys are doubles with an item id as tiebreaker, so duplicate keys are fully
 // supported. Priorities are hashes of (key bits, item): deterministic across
 // runs.
@@ -27,8 +21,7 @@
 
 namespace weg::augtree {
 
-template <bool Sized>
-class TreapT {
+class Treap {
  public:
   static constexpr uint32_t kNull = UINT32_MAX;
 
@@ -37,29 +30,21 @@ class TreapT {
     uint32_t item = 0;  // caller-defined payload (e.g. interval id)
     uint32_t left = kNull;
     uint32_t right = kNull;
-    uint32_t size = 1;
     uint64_t pri = 0;
   };
 
-  TreapT() = default;
+  Treap() = default;
 
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
   // Builds from entries sorted ascending by (key, item): O(n) reads/writes
   // via the right-spine Cartesian-tree construction.
-  static TreapT from_sorted(const std::vector<std::pair<double, uint32_t>>& es);
+  static Treap from_sorted(const std::vector<std::pair<double, uint32_t>>& es);
 
   void insert(double key, uint32_t item);
   // Removes the entry (key, item); returns false if absent.
   bool erase(double key, uint32_t item);
-
-  // Order statistics (Sized only; O(log n) reads, no writes).
-  size_t count_less(double k) const;
-  size_t count_leq(double k) const;
-  size_t count_range(double lo, double hi) const {
-    return count_leq(hi) - count_less(lo);
-  }
 
   // In-order reporting with early exit. Visits O(k + depth) nodes.
   template <typename F>
@@ -86,7 +71,7 @@ class TreapT {
   size_t depth() const { return depth_rec(root_); }
 
   // Heap + BST order invariants (test helper, uncounted).
-  bool validate() const { return validate_rec(root_).ok; }
+  bool validate() const { return validate_rec(root_); }
 
  private:
   static uint64_t make_priority(double key, uint32_t item) {
@@ -101,20 +86,8 @@ class TreapT {
   }
 
   uint32_t alloc(double key, uint32_t item) {
-    pool_.push_back(Node{key, item, kNull, kNull, 1, make_priority(key, item)});
+    pool_.push_back(Node{key, item, kNull, kNull, make_priority(key, item)});
     return static_cast<uint32_t>(pool_.size() - 1);
-  }
-
-  void pull(uint32_t v) {
-    if constexpr (Sized) {
-      uint32_t s = 1;
-      if (pool_[v].left != kNull) s += pool_[pool_[v].left].size;
-      if (pool_[v].right != kNull) s += pool_[pool_[v].right].size;
-      if (pool_[v].size != s) {
-        pool_[v].size = s;
-        asym::count_write();
-      }
-    }
   }
 
   // Classic recursive insert with rotations: O(depth) reads, O(1) expected
@@ -140,7 +113,6 @@ class TreapT {
         v = rotate_left(v);
       }
     }
-    pull(v);
     return v;
   }
 
@@ -148,8 +120,6 @@ class TreapT {
     uint32_t l = pool_[v].left;
     pool_[v].left = pool_[l].right;
     pool_[l].right = v;
-    pull(v);
-    pull(l);
     asym::count_write(2);
     ++last_rotations_;
     return l;
@@ -158,8 +128,6 @@ class TreapT {
     uint32_t r = pool_[v].right;
     pool_[v].right = pool_[r].left;
     pool_[r].left = v;
-    pull(v);
-    pull(r);
     asym::count_write(2);
     ++last_rotations_;
     return r;
@@ -175,11 +143,9 @@ class TreapT {
     ++last_rotations_;
     if (pool_[l].pri > pool_[r].pri) {
       pool_[l].right = join(pool_[l].right, r);
-      pull(l);
       return l;
     }
     pool_[r].left = join(l, pool_[r].left);
-    pull(r);
     return r;
   }
 
@@ -199,7 +165,6 @@ class TreapT {
       uint32_t c = erase_rec(nd.right, key, item, found);
       pool_[v].right = c;
     }
-    if (found) pull(v);
     return v;
   }
 
@@ -238,15 +203,10 @@ class TreapT {
     return 1 + std::max(depth_rec(pool_[v].left), depth_rec(pool_[v].right));
   }
 
-  struct Check {
-    bool ok;
-    size_t size;
-  };
-  Check validate_rec(uint32_t v) const {
-    if (v == kNull) return {true, 0};
+  bool validate_rec(uint32_t v) const {
+    if (v == kNull) return true;
     const Node& nd = pool_[v];
-    Check l = validate_rec(nd.left), r = validate_rec(nd.right);
-    bool ok = l.ok && r.ok;
+    bool ok = validate_rec(nd.left) && validate_rec(nd.right);
     if (nd.left != kNull) {
       ok = ok && !entry_less(nd.key, nd.item, pool_[nd.left].key,
                              pool_[nd.left].item);
@@ -257,9 +217,7 @@ class TreapT {
                             pool_[nd.right].item);
       ok = ok && pool_[nd.right].pri <= nd.pri;
     }
-    size_t s = 1 + l.size + r.size;
-    if constexpr (Sized) ok = ok && nd.size == s;
-    return {ok, s};
+    return ok;
   }
 
   std::vector<Node> pool_;
@@ -268,10 +226,9 @@ class TreapT {
   size_t last_rotations_ = 0;
 };
 
-template <bool Sized>
-TreapT<Sized> TreapT<Sized>::from_sorted(
+inline Treap Treap::from_sorted(
     const std::vector<std::pair<double, uint32_t>>& es) {
-  TreapT t;
+  Treap t;
   t.pool_.reserve(es.size());
   asym::count_read(es.size());
   asym::count_write(es.size());
@@ -293,84 +250,22 @@ TreapT<Sized> TreapT<Sized>::from_sorted(
     spine.push_back(nu);
   }
   t.count_ = es.size();
-  if constexpr (Sized) {
-    // Recompute sizes with an explicit post-order stack (uncounted: part of
-    // the same O(n)-write construction pass).
-    if (t.root_ != kNull) {
-      std::vector<std::pair<uint32_t, bool>> st{{t.root_, false}};
-      while (!st.empty()) {
-        auto [v, processed] = st.back();
-        st.pop_back();
-        if (processed) {
-          uint32_t s = 1;
-          if (t.pool_[v].left != kNull) s += t.pool_[t.pool_[v].left].size;
-          if (t.pool_[v].right != kNull) s += t.pool_[t.pool_[v].right].size;
-          t.pool_[v].size = s;
-          continue;
-        }
-        st.push_back({v, true});
-        if (t.pool_[v].left != kNull) st.push_back({t.pool_[v].left, false});
-        if (t.pool_[v].right != kNull) st.push_back({t.pool_[v].right, false});
-      }
-    }
-  }
   return t;
 }
 
-template <bool Sized>
-void TreapT<Sized>::insert(double key, uint32_t item) {
+inline void Treap::insert(double key, uint32_t item) {
   last_rotations_ = 0;
   uint32_t nu = alloc(key, item);
   root_ = insert_rec(root_, nu);
   ++count_;
 }
 
-template <bool Sized>
-bool TreapT<Sized>::erase(double key, uint32_t item) {
+inline bool Treap::erase(double key, uint32_t item) {
   last_rotations_ = 0;
   bool found = false;
   root_ = erase_rec(root_, key, item, found);
   if (found) --count_;
   return found;
 }
-
-template <bool Sized>
-size_t TreapT<Sized>::count_less(double k) const {
-  static_assert(Sized, "count queries need the sized treap");
-  size_t c = 0;
-  uint32_t v = root_;
-  while (v != kNull) {
-    asym::count_read();
-    const Node& nd = pool_[v];
-    if (nd.key < k) {
-      c += 1 + (nd.left == kNull ? 0 : pool_[nd.left].size);
-      v = nd.right;
-    } else {
-      v = nd.left;
-    }
-  }
-  return c;
-}
-
-template <bool Sized>
-size_t TreapT<Sized>::count_leq(double k) const {
-  static_assert(Sized, "count queries need the sized treap");
-  size_t c = 0;
-  uint32_t v = root_;
-  while (v != kNull) {
-    asym::count_read();
-    const Node& nd = pool_[v];
-    if (nd.key <= k) {
-      c += 1 + (nd.left == kNull ? 0 : pool_[nd.left].size);
-      v = nd.right;
-    } else {
-      v = nd.left;
-    }
-  }
-  return c;
-}
-
-using Treap = TreapT<false>;
-using SizedTreap = TreapT<true>;
 
 }  // namespace weg::augtree

@@ -58,7 +58,8 @@ class Mesh {
   // (which must be the bounding vertices) and returns its id.
   uint32_t init_bounding(uint32_t a, uint32_t b, uint32_t c);
 
-  // Walks the history from `from` down to an alive triangle encroached by p.
+  // Walks the history from `from` down to an alive triangle encroached by p
+  // (DAG tracing, Section 3.1 / Theorem 3.1: one path, no visited marks).
   // Calls step(t) for every history node visited (for per-mode read/write
   // accounting). Returns kNoTri only if `from` itself is not encroached.
   template <typename Step>

@@ -295,8 +295,8 @@ std::unique_ptr<Tree> build_we_tree(const std::vector<uint64_t>& keys,
     };
     constexpr uint64_t kPostponed = UINT64_MAX;
     std::vector<Traced> traced(hi - lo);
-    // Step 1 — DAG tracing down the search tree: reads only, one bookkeeping
-    // write per element to record its bucket.
+    // Step 1 — DAG tracing (Section 3.1, Theorem 3.1) down the search tree:
+    // reads only, one bookkeeping write per element to record its bucket.
     parallel::parallel_for(lo, hi, [&](size_t i) {
       uint32_t e = static_cast<uint32_t>(i);
       uint64_t bucket = kPostponed;

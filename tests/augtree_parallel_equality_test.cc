@@ -197,6 +197,52 @@ TEST(ParallelEquality, BulkBuildCountsMatchSerialGolden) {
   EXPECT_EQ(rc.writes, 589819u);
 }
 
+// Incremental-update goldens: one-by-one inserts followed by erasing every
+// third record drive the α-labelled update path — weight bumps, the doubling
+// trigger, subtree rebuilds and their splice, dead marking and the half-dead
+// whole-tree rebuild. Counts were captured at p=1 and hold at p=2/8: the
+// large rebuilds fork, and must charge exactly what the serial path does.
+template <typename Tree, typename Rec>
+asym::Counts insert_then_erase_thirds(Tree& t, const std::vector<Rec>& recs) {
+  asym::Region region;
+  for (const Rec& r : recs) t.insert(r);
+  for (size_t i = 0; i < recs.size(); i += 3) EXPECT_TRUE(t.erase(recs[i]));
+  return region.delta();
+}
+
+TEST(ParallelEquality, DynamicIntervalTreeIncrementalCountsMatchGolden) {
+  auto ivs = fixed_intervals(20000, 0xABC);
+  DynamicIntervalTree t(4);
+  auto c = insert_then_erase_thirds(t, ivs);
+  ASSERT_TRUE(t.validate());
+  EXPECT_EQ(t.size(), 20000u - 6667u);
+  EXPECT_EQ(c.reads, 2804666u);
+  EXPECT_EQ(c.writes, 1514531u);
+  EXPECT_EQ(t.rebuilds(), 12254u);
+}
+
+TEST(ParallelEquality, AlphaRangeTreeIncrementalCountsMatchGolden) {
+  auto pts = testing::random_ppoints(20000, 0xABC);
+  AlphaRangeTree t(4);
+  auto c = insert_then_erase_thirds(t, pts);
+  ASSERT_TRUE(t.validate());
+  EXPECT_EQ(t.size(), 20000u - 6667u);
+  EXPECT_EQ(c.reads, 6958928u);
+  EXPECT_EQ(c.writes, 3186709u);
+  EXPECT_EQ(t.rebuilds(), 6178u);
+}
+
+TEST(ParallelEquality, DynamicPriorityTreeIncrementalCountsMatchGolden) {
+  auto pts = testing::random_ppoints(20000, 0xABC);
+  DynamicPriorityTree t(4);
+  auto c = insert_then_erase_thirds(t, pts);
+  ASSERT_TRUE(t.validate());
+  EXPECT_EQ(t.size(), 20000u - 6667u);
+  EXPECT_EQ(c.reads, 3576973u);
+  EXPECT_EQ(c.writes, 1191504u);
+  EXPECT_EQ(t.rebuilds(), 5507u);
+}
+
 TEST(ParallelEquality, DynamicPriorityTreeRebuildsMatchBruteForce) {
   // Incremental inserts trigger weight-doubling rebuilds; the root rebuilds
   // past ~4k points take the parallel pre-grown-pool path.

@@ -1,11 +1,10 @@
 // Inner-tree (treap) and tournament-tree tests: BST/heap invariants,
-// duplicate keys, reporting with early exit, order statistics on the sized
-// variant, the O(1)-expected-rotation property, and the Appendix A
+// duplicate keys, reporting with early exit, the O(1)-expected-rotation
+// property, and the Appendix A
 // tournament-tree queries with scoped deletions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "src/augtree/tournament.h"
 #include "src/augtree/treap.h"
@@ -138,38 +137,6 @@ TEST(Treap, UpdateWritesAreConstantExpected) {
   asym::Region r;
   for (size_t i = n / 2; i < n; ++i) t.insert(rng.next_double(), uint32_t(i));
   EXPECT_LT(double(r.delta().writes) / double(n / 2), 8.0);
-}
-
-TEST(SizedTreap, CountQueries) {
-  SizedTreap t;
-  for (int i = 0; i < 1000; ++i) t.insert(double(i), uint32_t(i));
-  EXPECT_TRUE(t.validate());
-  EXPECT_EQ(t.count_less(500.0), 500u);
-  EXPECT_EQ(t.count_leq(500.0), 501u);
-  EXPECT_EQ(t.count_range(100.0, 199.0), 100u);
-  EXPECT_EQ(t.count_range(-5.0, 2000.0), 1000u);
-}
-
-TEST(SizedTreap, CountsStayCorrectUnderErase) {
-  SizedTreap t;
-  primitives::Rng rng(5);
-  std::multiset<double> shadow;
-  std::vector<std::pair<double, uint32_t>> entries;
-  for (uint32_t i = 0; i < 3000; ++i) {
-    double k = rng.next_double();
-    t.insert(k, i);
-    shadow.insert(k);
-    entries.emplace_back(k, i);
-  }
-  for (uint32_t i = 0; i < 1500; ++i) {
-    t.erase(entries[i].first, entries[i].second);
-    shadow.erase(shadow.find(entries[i].first));
-  }
-  EXPECT_TRUE(t.validate());
-  for (double q : {0.1, 0.5, 0.9}) {
-    size_t ref = size_t(std::distance(shadow.begin(), shadow.lower_bound(q)));
-    EXPECT_EQ(t.count_less(q), ref);
-  }
 }
 
 TEST(Tournament, RangeArgmaxAndCounts) {
