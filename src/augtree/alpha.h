@@ -139,8 +139,10 @@ class AlphaSkeleton {
     return path;
   }
 
-  // Returns every node of the subtree at v to the free list (reset).
-  void free_subtree(uint32_t v) {
+  // Returns every node of the subtree at v to the free list (reset), after
+  // on_free(node) has released whatever the node's payload holds elsewhere.
+  template <typename OnFree>
+  void free_subtree(uint32_t v, OnFree&& on_free) {
     if (v == kNull) return;
     std::vector<uint32_t> st{v};
     while (!st.empty()) {
@@ -148,9 +150,13 @@ class AlphaSkeleton {
       st.pop_back();
       if (pool[u].left != kNull) st.push_back(pool[u].left);
       if (pool[u].right != kNull) st.push_back(pool[u].right);
+      on_free(pool[u]);
       pool[u] = Node{};
       free_list.push_back(u);
     }
+  }
+  void free_subtree(uint32_t v) {
+    free_subtree(v, [](Node&) {});
   }
 
   // Iterative in-order walk (deep secondary chains would overflow a

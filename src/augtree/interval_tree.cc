@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/parallel/fault.h"
@@ -385,6 +384,66 @@ bool StaticIntervalTree::validate(const std::vector<Interval>& ivs) const {
 
 
 // ---------------------------------------------------------------------------
+// IntervalIdTable
+// ---------------------------------------------------------------------------
+
+size_t IntervalIdTable::home(uint32_t id, size_t capacity) {
+  // Fibonacci hashing: the top log2(capacity) bits of id * 2^64/phi.
+  int bits = std::countr_zero(capacity);
+  if (bits == 0) return 0;
+  return static_cast<size_t>((uint64_t{id} * 0x9e3779b97f4a7c15ULL) >>
+                             (64 - bits));
+}
+
+size_t IntervalIdTable::probe(uint32_t id) const {
+  size_t mask = slots_.size() - 1;
+  size_t i = home(id, slots_.size());
+  while (slots_[i].used && slots_[i].id != id) i = (i + 1) & mask;
+  return i;
+}
+
+const IntervalIdTable::Slot* IntervalIdTable::find(uint32_t id) const {
+  if (slots_.empty()) return nullptr;
+  const Slot& s = slots_[probe(id)];
+  return s.used ? &s : nullptr;
+}
+
+void IntervalIdTable::grow() {
+  std::vector<Slot> old(std::max<size_t>(16, 2 * slots_.size()));
+  old.swap(slots_);
+  for (const Slot& s : old) {
+    if (s.used) slots_[probe(s.id)] = s;
+  }
+}
+
+void IntervalIdTable::put(const Interval& iv) {
+  if (4 * (count_ + 1) > 3 * slots_.size()) grow();
+  Slot& s = slots_[probe(iv.id)];
+  if (!s.used) ++count_;
+  s = Slot{iv.l, iv.r, iv.id, 1};
+}
+
+bool IntervalIdTable::erase(uint32_t id) {
+  if (slots_.empty()) return false;
+  size_t mask = slots_.size() - 1;
+  size_t hole = probe(id);
+  if (!slots_[hole].used) return false;
+  // Backward shift: move each later entry of the probe run into the hole
+  // unless that would place it before its home slot. The table is never
+  // full, so the run ends at an empty slot.
+  for (size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+    size_t h = home(slots_[j].id, slots_.size());
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --count_;
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // DynamicIntervalTree (Section 7.3)
 // ---------------------------------------------------------------------------
 //
@@ -434,10 +493,10 @@ void DynamicIntervalTree::collect(uint32_t v,
                                   std::vector<Interval>& out_ivs) const {
   sk_.walk_inorder(v, [&](const Node& nd) {
     keys.emplace_back(nd.key, nd.dead);
-    nd.by_l.for_each([&](double, uint32_t id) {
-      auto it = ivs_.find(id);
-      assert(it != ivs_.end());
-      out_ivs.push_back(it->second);
+    forest_.for_each(nd.by_l, [&](double, uint32_t id) {
+      const IntervalIdTable::Slot* s = ivs_.find(id);
+      assert(s != nullptr);
+      out_ivs.push_back(s->interval());
     });
   });
 }
@@ -453,6 +512,13 @@ uint32_t DynamicIntervalTree::build_marked(
   return fresh;
 }
 
+void DynamicIntervalTree::free_nodes(uint32_t v) {
+  sk_.free_subtree(v, [&](Node& nd) {
+    forest_.free_tree(nd.by_l);
+    forest_.free_tree(nd.by_r);
+  });
+}
+
 void DynamicIntervalTree::rebuild(const AlphaSkeleton<Node>::Rebuild& at) {
   ++sk_.rebuilds;
   std::vector<std::pair<double, bool>> keys;
@@ -462,8 +528,11 @@ void DynamicIntervalTree::rebuild(const AlphaSkeleton<Node>::Rebuild& at) {
     std::erase_if(keys, [](const auto& k) { return k.second; });
     dead_count_ = 0;
     node_count_ = keys.size();
+    forest_.clear();  // every treap lives in the tree being rebuilt
+    sk_.free_subtree(at.v);
+  } else {
+    free_nodes(at.v);
   }
-  sk_.free_subtree(at.v);
   uint32_t fresh = build_marked(keys);
   sk_.splice(at, fresh, keys.size());
   // Reassign the collected intervals within the new subtree (the key set is
@@ -479,8 +548,8 @@ void DynamicIntervalTree::rebuild(const AlphaSkeleton<Node>::Rebuild& at) {
       } else if (iv.l > nd.key) {
         u = nd.right;
       } else {
-        nd.by_l.insert(iv.l, iv.id);
-        nd.by_r.insert(iv.r, iv.id);
+        forest_.insert(nd.by_l, iv.l, iv.id);
+        forest_.insert(nd.by_r, iv.r, iv.id);
         break;
       }
     }
@@ -525,7 +594,7 @@ Status DynamicIntervalTree::bulk_insert(const std::vector<Interval>& batch) {
           "bulk_insert: duplicate id " + std::to_string(iv.id) +
           " within batch");
     }
-    if (ivs_.find(iv.id) != ivs_.end()) {
+    if (ivs_.find(iv.id) != nullptr) {
       return Status::InvalidArgument(
           "bulk_insert: id " + std::to_string(iv.id) +
           " already live (erase it first)");
@@ -539,7 +608,7 @@ Status DynamicIntervalTree::bulk_insert(const std::vector<Interval>& batch) {
   std::vector<double> keys;
   keys.reserve(2 * batch.size());
   for (const Interval& iv : batch) {
-    ivs_[iv.id] = iv;
+    ivs_.put(iv);
     asym::count_write();
     keys.push_back(iv.l);
     keys.push_back(iv.r);
@@ -578,7 +647,7 @@ Status DynamicIntervalTree::bulk_insert(const std::vector<Interval>& batch) {
     if (nd0.critical && nd0.weight + (hi - lo) >= 2 * nd0.init_weight) {
       std::vector<std::pair<double, bool>> old_keys;
       collect(v, old_keys, displaced);
-      sk_.free_subtree(v);
+      free_nodes(v);
       std::vector<std::pair<double, bool>> merged;
       merged.reserve(old_keys.size() + (hi - lo));
       size_t i = 0, j = lo;
@@ -622,12 +691,12 @@ Status DynamicIntervalTree::bulk_insert(const std::vector<Interval>& batch) {
 void DynamicIntervalTree::store(const Interval& iv) {
   uint32_t v = find_storage(iv.l, iv.r);
   assert(v != kNull);
-  sk_.pool[v].by_l.insert(iv.l, iv.id);
-  sk_.pool[v].by_r.insert(iv.r, iv.id);
+  forest_.insert(sk_.pool[v].by_l, iv.l, iv.id);
+  forest_.insert(sk_.pool[v].by_r, iv.r, iv.id);
 }
 
 void DynamicIntervalTree::insert(const Interval& iv) {
-  ivs_[iv.id] = iv;
+  ivs_.put(iv);
   asym::count_write();
   insert_key(iv.l);
   insert_key(iv.r);
@@ -667,13 +736,13 @@ void DynamicIntervalTree::maybe_compact() {
 }
 
 bool DynamicIntervalTree::erase_one(const Interval& iv) {
-  auto it = ivs_.find(iv.id);
-  if (it == ivs_.end() || !(it->second == iv)) return false;
+  const IntervalIdTable::Slot* s = ivs_.find(iv.id);
+  if (s == nullptr || !(s->interval() == iv)) return false;
   uint32_t v = find_storage(iv.l, iv.r);
   if (v == kNull) return false;
-  if (!sk_.pool[v].by_l.erase(iv.l, iv.id)) return false;
-  sk_.pool[v].by_r.erase(iv.r, iv.id);
-  ivs_.erase(it);
+  if (!forest_.erase(sk_.pool[v].by_l, iv.l, iv.id)) return false;
+  forest_.erase(sk_.pool[v].by_r, iv.r, iv.id);
+  ivs_.erase(iv.id);
   --live_intervals_;
   // Mark one endpoint node per endpoint dead (duplicates descend right).
   auto mark_dead = [&](double key) {
@@ -709,13 +778,13 @@ void DynamicIntervalTree::stab_visit(double q, F&& emit) const {
     asym::count_read();
     const Node& nd = sk_.pool[v];
     if (q < nd.key) {
-      nd.by_l.report_leq(q, [&](double, uint32_t id) { emit(id); });
+      forest_.report_leq(nd.by_l, q, [&](double, uint32_t id) { emit(id); });
       v = nd.left;
     } else if (q > nd.key) {
-      nd.by_r.report_geq(q, [&](double, uint32_t id) { emit(id); });
+      forest_.report_geq(nd.by_r, q, [&](double, uint32_t id) { emit(id); });
       v = nd.right;
     } else {
-      nd.by_l.for_each([&](double, uint32_t id) { emit(id); });
+      forest_.for_each(nd.by_l, [&](double, uint32_t id) { emit(id); });
       v = nd.right;  // equal keys (with their own intervals) lie right
     }
   }
@@ -774,10 +843,10 @@ bool DynamicIntervalTree::validate() const {
     if (v == kNull) return 1;
     const Node& nd = sk_.pool[v];
     if (!(nd.key >= lo && nd.key <= hi)) ok = false;
-    ok = ok && nd.by_l.validate() && nd.by_r.validate();
-    nd.by_l.for_each([&](double, uint32_t id) {
-      auto it = ivs_.find(id);
-      if (it == ivs_.end() || !it->second.contains(nd.key)) ok = false;
+    ok = ok && forest_.validate(nd.by_l) && forest_.validate(nd.by_r);
+    forest_.for_each(nd.by_l, [&](double, uint32_t id) {
+      const IntervalIdTable::Slot* s = ivs_.find(id);
+      if (s == nullptr || !s->interval().contains(nd.key)) ok = false;
       ++stored;
     });
     uint64_t w = self(self, nd.left, lo, nd.key) +

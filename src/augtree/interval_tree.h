@@ -20,11 +20,14 @@
 // inner-treap links (Theorem 7.4: O((ω + α) log_α n) amortized work per
 // update, query O(ωk + α log_α n)). Deletions mark endpoint nodes dead;
 // subtree rebuilds keep dead keys and a whole-tree rebuild, dropping them,
-// triggers once half the endpoints are dead.
+// triggers once half the endpoints are dead. Its payload is one TreapForest
+// holding every node's two inner treaps plus one flat IntervalIdTable, so a
+// tree is a few flat arrays: a copy is a few buffer copies and a free a few
+// buffer frees, whatever the number of nodes.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "src/asym/counters.h"
@@ -92,6 +95,41 @@ class StaticIntervalTree {
   std::vector<std::pair<double, uint32_t>> by_right_;  // (r, id)
 };
 
+// Flat id -> interval table: open addressing in one vector with
+// power-of-two capacity, Fibonacci-hashed home slots, linear probing and
+// backward-shift deletion (no tombstones), kept at most 3/4 full.
+class IntervalIdTable {
+ public:
+  struct Slot {
+    double l = 0;
+    double r = 0;
+    uint32_t id = 0;
+    uint32_t used = 0;
+
+    Interval interval() const { return Interval{l, r, id}; }
+  };
+
+  // The live slot holding id, or nullptr.
+  const Slot* find(uint32_t id) const;
+  // Inserts iv, or overwrites the interval stored under iv.id.
+  void put(const Interval& iv);
+  // Removes id; returns false if absent.
+  bool erase(uint32_t id);
+
+  size_t size() const { return count_; }
+  size_t capacity() const { return slots_.size(); }
+  // Home slot of id in a table of the given power-of-two capacity.
+  static size_t home(uint32_t id, size_t capacity);
+
+ private:
+  // Slot index holding id, or the empty slot where its probe ends.
+  size_t probe(uint32_t id) const;
+  void grow();
+
+  std::vector<Slot> slots_;
+  size_t count_ = 0;
+};
+
 class DynamicIntervalTree {
  public:
   explicit DynamicIntervalTree(uint64_t alpha = 2) : sk_(alpha) {}
@@ -132,6 +170,9 @@ class DynamicIntervalTree {
 
   size_t size() const { return live_intervals_; }
   size_t num_nodes() const { return node_count_; }
+  // Inner-treap pool slots, free ones included (bench hook: rebuilt subtrees
+  // and erased entries are reused, so this tracks 2·size(), not history).
+  size_t forest_nodes() const { return forest_.num_nodes(); }
   size_t rebuilds() const { return sk_.rebuilds; }
   // Longest root-leaf path (bench hook for Corollary 7.2).
   size_t height() const { return sk_.height(); }
@@ -145,13 +186,17 @@ class DynamicIntervalTree {
     double key = 0;
     uint32_t left = kNull;
     uint32_t right = kNull;
+    uint32_t by_l = kNull;  // forest_ root: intervals here, by left endpoint
+    uint32_t by_r = kNull;  // forest_ root: keyed by right endpoint
     bool critical = false;
     bool dead = false;  // endpoint of an erased interval
     uint64_t init_weight = 0;  // critical only
     uint64_t weight = 0;       // critical only; root always maintains it
-    Treap by_l;  // intervals stored here, keyed by left endpoint
-    Treap by_r;  // keyed by right endpoint
   };
+  // Owning members in a node or slot would bring back one heap copy per
+  // node on every clone; tests/interval_tree_alloc_test.cc counts them.
+  static_assert(std::is_trivially_copyable_v<Node>);
+  static_assert(std::is_trivially_copyable_v<IntervalIdTable::Slot>);
 
   // Erases one interval without the trailing dead-fraction rebuild check
   // (erase and bulk_erase share it; only the compaction cadence differs).
@@ -164,6 +209,8 @@ class DynamicIntervalTree {
   uint32_t find_storage(double l, double r) const;
   // Stores iv at its storage node's treaps.
   void store(const Interval& iv);
+  // Frees the skeleton subtree at v and its nodes' inner treaps.
+  void free_nodes(uint32_t v);
   // Rebuilds the subtree `at` names; the whole tree drops dead keys.
   void rebuild(const AlphaSkeleton<Node>::Rebuild& at);
   // Fresh subtree over (key, dead) entries, criticals marked.
@@ -177,7 +224,8 @@ class DynamicIntervalTree {
   template <typename F>
   void stab_visit(double q, F&& emit) const;
 
-  std::unordered_map<uint32_t, Interval> ivs_;  // id -> interval (for rebuilds)
+  IntervalIdTable ivs_;  // id -> interval (for rebuilds)
+  TreapForest forest_;   // every node's by_l and by_r
   AlphaSkeleton<Node> sk_;
   uint64_t node_count_ = 0;   // live skeleton nodes (incl. dead-marked)
   uint64_t dead_count_ = 0;

@@ -8,9 +8,17 @@
 //
 // Keys are doubles with an item id as tiebreaker, so duplicate keys are fully
 // supported. Priorities are hashes of (key bits, item): deterministic across
-// runs.
+// runs, and a treap's shape depends on its entries alone — never on which
+// pool slots hold them.
+//
+// TreapForest keeps the nodes of many treaps in one index-linked pool; each
+// treap is a uint32_t root handle into it, so a structure holding thousands
+// of inner trees is a few flat arrays and copies as such. Erased and freed
+// nodes go on an intrusive free list threaded through `left`. Treap is the
+// single-root wrapper over a forest of its own.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -21,7 +29,7 @@
 
 namespace weg::augtree {
 
-class Treap {
+class TreapForest {
  public:
   static constexpr uint32_t kNull = UINT32_MAX;
 
@@ -33,45 +41,78 @@ class Treap {
     uint64_t pri = 0;
   };
 
-  Treap() = default;
+  // Root of a new treap over entries sorted ascending by (key, item): O(n)
+  // reads/writes via the right-spine Cartesian-tree construction.
+  uint32_t from_sorted(const std::vector<std::pair<double, uint32_t>>& es);
 
-  size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
-  // Builds from entries sorted ascending by (key, item): O(n) reads/writes
-  // via the right-spine Cartesian-tree construction.
-  static Treap from_sorted(const std::vector<std::pair<double, uint32_t>>& es);
-
-  void insert(double key, uint32_t item);
+  void insert(uint32_t& root, double key, uint32_t item) {
+    last_rotations_ = 0;
+    uint32_t nu = alloc(key, item);
+    root = insert_rec(root, nu);
+  }
   // Removes the entry (key, item); returns false if absent.
-  bool erase(double key, uint32_t item);
+  bool erase(uint32_t& root, double key, uint32_t item) {
+    last_rotations_ = 0;
+    bool found = false;
+    root = erase_rec(root, key, item, found);
+    return found;
+  }
+
+  // Returns every node of the treap at root to the free list and empties
+  // the handle. Uncounted, O(size), no auxiliary memory: a left child is
+  // rotated up until the node has none, then the node is freed.
+  void free_tree(uint32_t& root) {
+    uint32_t v = root;
+    while (v != kNull) {
+      Node& nd = nodes_[v];
+      if (nd.left == kNull) {
+        uint32_t next = nd.right;
+        release(v);
+        v = next;
+      } else {
+        uint32_t l = nd.left;
+        nd.left = nodes_[l].right;
+        nodes_[l].right = v;
+        v = l;
+      }
+    }
+    root = kNull;
+  }
+  // Drops every treap at once (all handles become invalid).
+  void clear() {
+    nodes_.clear();
+    free_head_ = kNull;
+  }
+
+  // Pool slots, free ones included (bench hook for pool reuse).
+  size_t num_nodes() const { return nodes_.size(); }
 
   // In-order reporting with early exit. Visits O(k + depth) nodes.
   template <typename F>
-  void report_leq(double k, F emit) const {
-    report_leq_rec(root_, k, emit);
+  void report_leq(uint32_t root, double k, F emit) const {
+    report_leq_rec(root, k, emit);
   }
   template <typename F>
-  void report_geq(double k, F emit) const {
-    report_geq_rec(root_, k, emit);
+  void report_geq(uint32_t root, double k, F emit) const {
+    report_geq_rec(root, k, emit);
   }
   template <typename F>
-  void report_range(double lo, double hi, F emit) const {
-    report_range_rec(root_, lo, hi, emit);
+  void report_range(uint32_t root, double lo, double hi, F emit) const {
+    report_range_rec(root, lo, hi, emit);
   }
   template <typename F>
-  void for_each(F emit) const {
-    report_leq_rec(root_, std::numeric_limits<double>::infinity(), emit);
+  void for_each(uint32_t root, F emit) const {
+    report_leq_rec(root, std::numeric_limits<double>::infinity(), emit);
   }
 
   // Rotation-equivalent link writes performed by the last insert/erase (test
   // hook for the O(1) expected-writes property).
   size_t last_rotations() const { return last_rotations_; }
 
-  size_t depth() const { return depth_rec(root_); }
+  size_t depth(uint32_t root) const { return depth_rec(root); }
 
   // Heap + BST order invariants (test helper, uncounted).
-  bool validate() const { return validate_rec(root_); }
+  bool validate(uint32_t root) const { return validate_rec(root); }
 
  private:
   static uint64_t make_priority(double key, uint32_t item) {
@@ -86,8 +127,20 @@ class Treap {
   }
 
   uint32_t alloc(double key, uint32_t item) {
-    pool_.push_back(Node{key, item, kNull, kNull, make_priority(key, item)});
-    return static_cast<uint32_t>(pool_.size() - 1);
+    Node nd{key, item, kNull, kNull, make_priority(key, item)};
+    if (free_head_ != kNull) {
+      uint32_t v = free_head_;
+      free_head_ = nodes_[v].left;
+      nodes_[v] = nd;
+      return v;
+    }
+    nodes_.push_back(nd);
+    return static_cast<uint32_t>(nodes_.size() - 1);
+  }
+
+  void release(uint32_t v) {
+    nodes_[v].left = free_head_;
+    free_head_ = v;
   }
 
   // Classic recursive insert with rotations: O(depth) reads, O(1) expected
@@ -98,18 +151,18 @@ class Treap {
       return nu;
     }
     asym::count_read();
-    bool go_left = entry_less(pool_[nu].key, pool_[nu].item, pool_[v].key,
-                              pool_[v].item);
+    bool go_left = entry_less(nodes_[nu].key, nodes_[nu].item, nodes_[v].key,
+                              nodes_[v].item);
     if (go_left) {
-      uint32_t c = insert_rec(pool_[v].left, nu);
-      pool_[v].left = c;  // only a real write when the child changed
-      if (pool_[c].pri > pool_[v].pri) {
+      uint32_t c = insert_rec(nodes_[v].left, nu);
+      nodes_[v].left = c;  // only a real write when the child changed
+      if (nodes_[c].pri > nodes_[v].pri) {
         v = rotate_right(v);
       }
     } else {
-      uint32_t c = insert_rec(pool_[v].right, nu);
-      pool_[v].right = c;
-      if (pool_[c].pri > pool_[v].pri) {
+      uint32_t c = insert_rec(nodes_[v].right, nu);
+      nodes_[v].right = c;
+      if (nodes_[c].pri > nodes_[v].pri) {
         v = rotate_left(v);
       }
     }
@@ -117,17 +170,17 @@ class Treap {
   }
 
   uint32_t rotate_right(uint32_t v) {
-    uint32_t l = pool_[v].left;
-    pool_[v].left = pool_[l].right;
-    pool_[l].right = v;
+    uint32_t l = nodes_[v].left;
+    nodes_[v].left = nodes_[l].right;
+    nodes_[l].right = v;
     asym::count_write(2);
     ++last_rotations_;
     return l;
   }
   uint32_t rotate_left(uint32_t v) {
-    uint32_t r = pool_[v].right;
-    pool_[v].right = pool_[r].left;
-    pool_[r].left = v;
+    uint32_t r = nodes_[v].right;
+    nodes_[v].right = nodes_[r].left;
+    nodes_[r].left = v;
     asym::count_write(2);
     ++last_rotations_;
     return r;
@@ -141,29 +194,31 @@ class Treap {
     asym::count_read(2);
     asym::count_write();
     ++last_rotations_;
-    if (pool_[l].pri > pool_[r].pri) {
-      pool_[l].right = join(pool_[l].right, r);
+    if (nodes_[l].pri > nodes_[r].pri) {
+      nodes_[l].right = join(nodes_[l].right, r);
       return l;
     }
-    pool_[r].left = join(l, pool_[r].left);
+    nodes_[r].left = join(l, nodes_[r].left);
     return r;
   }
 
   uint32_t erase_rec(uint32_t v, double key, uint32_t item, bool& found) {
     if (v == kNull) return kNull;
     asym::count_read();
-    const Node& nd = pool_[v];
+    const Node& nd = nodes_[v];
     if (nd.key == key && nd.item == item) {
       found = true;
       asym::count_write();  // unlink
-      return join(nd.left, nd.right);
+      uint32_t joined = join(nd.left, nd.right);
+      release(v);
+      return joined;
     }
     if (entry_less(key, item, nd.key, nd.item)) {
       uint32_t c = erase_rec(nd.left, key, item, found);
-      pool_[v].left = c;
+      nodes_[v].left = c;
     } else {
       uint32_t c = erase_rec(nd.right, key, item, found);
-      pool_[v].right = c;
+      nodes_[v].right = c;
     }
     return v;
   }
@@ -172,7 +227,7 @@ class Treap {
   void report_leq_rec(uint32_t v, double k, F& emit) const {
     if (v == kNull) return;
     asym::count_read();
-    const Node& nd = pool_[v];
+    const Node& nd = nodes_[v];
     report_leq_rec(nd.left, k, emit);
     if (nd.key > k) return;
     emit(nd.key, nd.item);
@@ -182,7 +237,7 @@ class Treap {
   void report_geq_rec(uint32_t v, double k, F& emit) const {
     if (v == kNull) return;
     asym::count_read();
-    const Node& nd = pool_[v];
+    const Node& nd = nodes_[v];
     report_geq_rec(nd.right, k, emit);
     if (nd.key < k) return;
     emit(nd.key, nd.item);
@@ -192,7 +247,7 @@ class Treap {
   void report_range_rec(uint32_t v, double lo, double hi, F& emit) const {
     if (v == kNull) return;
     asym::count_read();
-    const Node& nd = pool_[v];
+    const Node& nd = nodes_[v];
     if (nd.key >= lo) report_range_rec(nd.left, lo, hi, emit);
     if (nd.key >= lo && nd.key <= hi) emit(nd.key, nd.item);
     if (nd.key <= hi) report_range_rec(nd.right, lo, hi, emit);
@@ -200,72 +255,109 @@ class Treap {
 
   size_t depth_rec(uint32_t v) const {
     if (v == kNull) return 0;
-    return 1 + std::max(depth_rec(pool_[v].left), depth_rec(pool_[v].right));
+    return 1 + std::max(depth_rec(nodes_[v].left), depth_rec(nodes_[v].right));
   }
 
   bool validate_rec(uint32_t v) const {
     if (v == kNull) return true;
-    const Node& nd = pool_[v];
+    const Node& nd = nodes_[v];
     bool ok = validate_rec(nd.left) && validate_rec(nd.right);
     if (nd.left != kNull) {
-      ok = ok && !entry_less(nd.key, nd.item, pool_[nd.left].key,
-                             pool_[nd.left].item);
-      ok = ok && pool_[nd.left].pri <= nd.pri;
+      ok = ok && !entry_less(nd.key, nd.item, nodes_[nd.left].key,
+                             nodes_[nd.left].item);
+      ok = ok && nodes_[nd.left].pri <= nd.pri;
     }
     if (nd.right != kNull) {
-      ok = ok && entry_less(nd.key, nd.item, pool_[nd.right].key,
-                            pool_[nd.right].item);
-      ok = ok && pool_[nd.right].pri <= nd.pri;
+      ok = ok && entry_less(nd.key, nd.item, nodes_[nd.right].key,
+                            nodes_[nd.right].item);
+      ok = ok && nodes_[nd.right].pri <= nd.pri;
     }
     return ok;
   }
 
-  std::vector<Node> pool_;
-  uint32_t root_ = kNull;
-  size_t count_ = 0;
-  size_t last_rotations_ = 0;
+  std::vector<Node> nodes_;
+  uint32_t free_head_ = kNull;
+  uint32_t last_rotations_ = 0;
 };
 
-inline Treap Treap::from_sorted(
+inline uint32_t TreapForest::from_sorted(
     const std::vector<std::pair<double, uint32_t>>& es) {
-  Treap t;
-  t.pool_.reserve(es.size());
+  if (free_head_ == kNull) nodes_.reserve(nodes_.size() + es.size());
   asym::count_read(es.size());
   asym::count_write(es.size());
   // Right-spine Cartesian-tree construction: O(n) total.
+  uint32_t root = kNull;
   std::vector<uint32_t> spine;
   for (const auto& [key, item] : es) {
-    uint32_t nu = t.alloc(key, item);
+    uint32_t nu = alloc(key, item);
     uint32_t last_popped = kNull;
-    while (!spine.empty() && t.pool_[spine.back()].pri < t.pool_[nu].pri) {
+    while (!spine.empty() && nodes_[spine.back()].pri < nodes_[nu].pri) {
       last_popped = spine.back();
       spine.pop_back();
     }
-    if (last_popped != kNull) t.pool_[nu].left = last_popped;
+    if (last_popped != kNull) nodes_[nu].left = last_popped;
     if (spine.empty()) {
-      t.root_ = nu;
+      root = nu;
     } else {
-      t.pool_[spine.back()].right = nu;
+      nodes_[spine.back()].right = nu;
     }
     spine.push_back(nu);
   }
-  t.count_ = es.size();
-  return t;
+  return root;
 }
 
-inline void Treap::insert(double key, uint32_t item) {
-  last_rotations_ = 0;
-  uint32_t nu = alloc(key, item);
-  root_ = insert_rec(root_, nu);
-  ++count_;
-}
+// One treap over a forest of its own: the inner tree of AlphaRangeTree.
+class Treap {
+ public:
+  Treap() = default;
 
-inline bool Treap::erase(double key, uint32_t item) {
-  last_rotations_ = 0;
-  bool found = false;
-  root_ = erase_rec(root_, key, item, found);
-  if (found) --count_;
-  return found;
-}
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  // Builds from entries sorted ascending by (key, item): O(n) reads/writes.
+  static Treap from_sorted(const std::vector<std::pair<double, uint32_t>>& es) {
+    Treap t;
+    t.root_ = t.forest_.from_sorted(es);
+    t.count_ = static_cast<uint32_t>(es.size());
+    return t;
+  }
+
+  void insert(double key, uint32_t item) {
+    forest_.insert(root_, key, item);
+    ++count_;
+  }
+  // Removes the entry (key, item); returns false if absent.
+  bool erase(double key, uint32_t item) {
+    bool found = forest_.erase(root_, key, item);
+    if (found) --count_;
+    return found;
+  }
+
+  template <typename F>
+  void report_leq(double k, F emit) const {
+    forest_.report_leq(root_, k, emit);
+  }
+  template <typename F>
+  void report_geq(double k, F emit) const {
+    forest_.report_geq(root_, k, emit);
+  }
+  template <typename F>
+  void report_range(double lo, double hi, F emit) const {
+    forest_.report_range(root_, lo, hi, emit);
+  }
+  template <typename F>
+  void for_each(F emit) const {
+    forest_.for_each(root_, emit);
+  }
+
+  size_t last_rotations() const { return forest_.last_rotations(); }
+  size_t depth() const { return forest_.depth(root_); }
+  bool validate() const { return forest_.validate(root_); }
+
+ private:
+  TreapForest forest_;
+  uint32_t root_ = TreapForest::kNull;
+  uint32_t count_ = 0;
+};
 
 }  // namespace weg::augtree

@@ -37,7 +37,9 @@
 // the query flush (flush_queries) and the epoch path (form_epoch ->
 // commit_epoch). The modes differ only in the time they pass in — the
 // trace's logical at_us or the wall clock — and in where an epoch commits:
-// inline in run_trace(), on the committer thread live.
+// inline in run_trace(), on the committer thread live. A live commit takes
+// time, so the live batcher also waits for a free committer and holds a
+// partial epoch for group commit (partial_epoch_due).
 //
 // Determinism contract: run_trace() replays a fixed request trace on the
 // caller's thread — admission decisions, batch boundaries, versions, and
@@ -610,6 +612,17 @@ class Engine {
     return committing_.load(std::memory_order_relaxed);
   }
 
+  // Group commit (live mode): a partial epoch keeps gathering updates until
+  // the committer has been free for max_delay_us. Every commit clones the
+  // shards it touches whatever the epoch's size, so under load this keeps
+  // epochs full instead of committing whatever arrived during the previous
+  // commit; at low load the committer has long been free and the rule is
+  // the plain deadline. Trace replay commits inline, in no logical time,
+  // and keeps the plain rule.
+  uint64_t partial_epoch_due() const {
+    return commit_done_us_.load(std::memory_order_relaxed) + cfg_.max_delay_us;
+  }
+
   void batcher_loop() {
     std::vector<PendingQuery> pq;
     std::vector<PendingUpdate> pu;
@@ -624,9 +637,11 @@ class Engine {
       uint64_t now = now_us();
       if (auto* why = flush_trigger(pq, now, stopping)) flush_queries(pq, why);
       if (!committing()) {
-        if (auto* why = flush_trigger(pu, now, stopping)) {
-          hand_off(form_epoch(pu, why));
+        auto* why = flush_trigger(pu, now, stopping);
+        if (why == &deadline_flushes_ && now < partial_epoch_due()) {
+          why = nullptr;
         }
+        if (why) hand_off(form_epoch(pu, why));
       }
       if (stopping && pq.empty() && pu.empty() && query_q_.empty() &&
           update_q_.empty() && !committing()) {
@@ -663,6 +678,7 @@ class Engine {
       lk.unlock();
       commit_epoch(ep);
       lk.lock();
+      commit_done_us_.store(now_us(), std::memory_order_relaxed);
       committing_.store(false, std::memory_order_relaxed);
       // poke() takes wake_mu_; never hold commit_mu_ across it.
       lk.unlock();
@@ -684,7 +700,9 @@ class Engine {
     uint64_t next = std::min(now + kIdleWaitUs, deadline(pq));
     // An update deadline only matters when the committer could accept the
     // epoch; otherwise the committer's completion poke is the wake signal.
-    if (commit_ready) next = std::min(next, deadline(pu));
+    if (commit_ready) {
+      next = std::min(next, std::max(deadline(pu), partial_epoch_due()));
+    }
     if (stopping) next = std::min(next, now + 200);
     if (next <= now) return;
     wake_cv_.wait_for(lk, std::chrono::microseconds(next - now));
@@ -711,6 +729,7 @@ class Engine {
   std::mutex commit_mu_;
   std::condition_variable commit_cv_;
   std::atomic<bool> committing_{false};
+  std::atomic<uint64_t> commit_done_us_{0};  // when the last commit finished
   bool committer_exit_ = false;
   Epoch inflight_;
 

@@ -2,10 +2,15 @@
 // construction equivalence and write bounds (Theorem 7.1), stabbing queries
 // against brute force across interval patterns (including duplicate and
 // degenerate endpoints), and the α-labeled dynamic tree under mixed
-// workloads with structural validation (Corollary 7.2 path statistics).
+// workloads with structural validation (Corollary 7.2 path statistics),
+// copy isolation and pool reuse of the flat dynamic tree, and its id table
+// against a std::map oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <map>
 
 #include "src/augtree/interval_tree.h"
 #include "src/primitives/random.h"
@@ -261,6 +266,196 @@ TEST(DynamicIT, BulkInsertWritesLessThanIncremental) {
     incr_writes = r.delta().writes;
   }
   EXPECT_LT(bulk_writes, incr_writes);
+}
+
+// Ids whose home slot equals id0's at every capacity up to 2^12: Fibonacci
+// homes are the top bits of one product, so a collision at 4096 slots is
+// one at every smaller power of two.
+std::vector<uint32_t> colliding_ids(uint32_t id0, size_t count) {
+  std::vector<uint32_t> out{id0};
+  size_t h = IntervalIdTable::home(id0, 4096);
+  for (uint32_t id = id0 + 1; out.size() < count; ++id) {
+    if (IntervalIdTable::home(id, 4096) == h) out.push_back(id);
+  }
+  return out;
+}
+
+TEST(IntervalIdTable, MatchesMapOracle) {
+  // Interleaved put/overwrite/erase over ids that share home slots, that
+  // are multiples of the capacity, and random ones, through several grows.
+  IntervalIdTable t;
+  std::map<uint32_t, Interval> oracle;
+  primitives::Rng rng(57);
+  std::vector<uint32_t> pool = colliding_ids(7, 40);
+  for (uint32_t k = 0; k < 40; ++k) pool.push_back(k * 1024);
+  for (uint32_t k = 0; k < 200; ++k) pool.push_back(uint32_t(rng.next()));
+  for (int op = 0; op < 20000; ++op) {
+    uint32_t id = pool[rng.next_bounded(pool.size())];
+    if (rng.next_bounded(5) < 3) {
+      double l = rng.next_double();
+      Interval iv{l, l + rng.next_double(), id};
+      t.put(iv);
+      oracle[id] = iv;
+    } else {
+      EXPECT_EQ(t.erase(id), oracle.erase(id) == 1) << "op " << op;
+    }
+    if (op % 500 == 0) {
+      ASSERT_EQ(t.size(), oracle.size());
+      for (uint32_t q : pool) {
+        const IntervalIdTable::Slot* s = t.find(q);
+        auto it = oracle.find(q);
+        ASSERT_EQ(s != nullptr, it != oracle.end()) << "id " << q;
+        if (s != nullptr) {
+          EXPECT_TRUE(s->interval() == it->second);
+        }
+      }
+    }
+  }
+  EXPECT_LE(4 * t.size(), 3 * t.capacity());
+}
+
+TEST(IntervalIdTable, BackwardShiftKeepsProbeRunsReachable) {
+  // Erasing the head of a run of colliding ids must leave every later one
+  // findable (no tombstones stand in for the hole).
+  IntervalIdTable t;
+  auto ids = colliding_ids(3, 10);
+  for (uint32_t id : ids) t.put(Interval{0, 1, id});
+  for (size_t k = 0; k < ids.size(); ++k) {
+    ASSERT_TRUE(t.erase(ids[k]));
+    EXPECT_FALSE(t.erase(ids[k]));
+    EXPECT_EQ(t.find(ids[k]), nullptr);
+    for (size_t j = k + 1; j < ids.size(); ++j) {
+      ASSERT_NE(t.find(ids[j]), nullptr) << "id " << ids[j];
+    }
+  }
+  EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(DynamicIT, IdTableEdgeCases) {
+  DynamicIntervalTree t(4);
+  auto ids = colliding_ids(11, 8);
+  auto iv_of = [&](size_t k) {
+    return Interval{double(k) / 8, double(k) / 8 + 0.25, ids[k]};
+  };
+  for (size_t k = 0; k < ids.size(); ++k) t.insert(iv_of(k));
+  // A matching id with different endpoints is a soft miss.
+  EXPECT_FALSE(t.erase(Interval{0.5, 0.75, ids[0]}));
+  auto miss = t.bulk_erase({Interval{0.5, 0.75, ids[1]}});
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(miss.value(), 0u);
+  EXPECT_EQ(t.size(), ids.size());
+  // Erase the run's first ids; the last one is still live and its id is
+  // rejected by bulk_insert before any write.
+  for (size_t k = 0; k + 1 < ids.size(); ++k) ASSERT_TRUE(t.erase(iv_of(k)));
+  auto before = t.live_records();
+  Status st = t.bulk_insert({Interval{0.25, 0.5, ids.back()}});
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(t.live_records(), before);
+  // Erase then re-insert the same id with new endpoints.
+  ASSERT_TRUE(t.bulk_insert({Interval{0.75, 0.875, ids[0]}}).ok());
+  EXPECT_EQ(t.stab(0.875).size(), 2u);  // with ids.back() = [0.875, 1.125]
+  EXPECT_TRUE(t.erase(Interval{0.75, 0.875, ids[0]}));
+  t.insert(Interval{0.0, 0.0625, ids[0]});
+  EXPECT_EQ(t.stab(0.03125), std::vector<uint32_t>{ids[0]});
+  EXPECT_TRUE(t.validate());
+  EXPECT_EQ(t.size(), 2u);
+}
+
+std::vector<uint32_t> sorted_stab(const DynamicIntervalTree& t, double q) {
+  auto v = t.stab(q);
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+std::vector<uint32_t> brute_ids(const std::vector<Interval>& ivs, double q) {
+  std::vector<uint32_t> out;
+  for (const Interval& iv : ivs) {
+    if (iv.contains(q)) out.push_back(iv.id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(DynamicIT, CopyIsIsolatedFromItsSource) {
+  auto base = make_intervals(Pattern::kMixed, 1 << 14, 59);
+  DynamicIntervalTree orig(4);
+  ASSERT_TRUE(orig.bulk_insert(base).ok());
+  primitives::Rng rng(61);
+  std::vector<double> qs(512);
+  for (double& q : qs) q = rng.next_double();
+  auto orig_stabs = orig.stab_batch(qs);
+  auto orig_live = orig.live_records();
+
+  DynamicIntervalTree copy = orig;
+  std::vector<Interval> alive = base;
+  // Small batches into the copy force subtree rebuilds...
+  size_t rebuilds0 = copy.rebuilds();
+  uint32_t next_id = 1u << 20;
+  for (int b = 0; b < 20; ++b) {
+    std::vector<Interval> batch(64);
+    for (auto& iv : batch) {
+      double l = rng.next_double();
+      iv = Interval{l, l + rng.next_double() * 0.01, next_id++};
+    }
+    ASSERT_TRUE(copy.bulk_insert(batch).ok());
+    alive.insert(alive.end(), batch.begin(), batch.end());
+  }
+  EXPECT_GT(copy.rebuilds(), rebuilds0);
+  // ...and erasing over half of it forces the half-dead compaction.
+  size_t nodes_before = copy.num_nodes();
+  std::vector<Interval> gone(alive.begin(), alive.begin() + 9000);
+  auto erased = copy.bulk_erase(gone);
+  ASSERT_TRUE(erased.ok());
+  EXPECT_EQ(erased.value(), gone.size());
+  alive.erase(alive.begin(), alive.begin() + 9000);
+  EXPECT_LT(copy.num_nodes(), nodes_before);
+
+  // The source answers exactly as before the copy existed.
+  EXPECT_TRUE(orig.validate());
+  EXPECT_EQ(orig.live_records(), orig_live);
+  auto again = orig.stab_batch(qs);
+  EXPECT_EQ(again.offsets(), orig_stabs.offsets());
+  EXPECT_EQ(again.items(), orig_stabs.items());
+  // The copy matches a brute-force oracle.
+  EXPECT_TRUE(copy.validate());
+  EXPECT_EQ(copy.size(), alive.size());
+  for (size_t i = 0; i < qs.size(); i += 8) {
+    ASSERT_EQ(sorted_stab(copy, qs[i]), brute_ids(alive, qs[i]))
+        << "q " << qs[i];
+  }
+}
+
+TEST(DynamicIT, ChurnReusesTreapPool) {
+  // 300 epochs at a fixed live count: freed subtrees and erased entries go
+  // back to the pool, so its size tracks the live entries, not the history.
+  DynamicIntervalTree t(4);
+  primitives::Rng rng(63);
+  std::deque<Interval> alive;
+  uint32_t next_id = 0;
+  auto fresh = [&](size_t n) {
+    std::vector<Interval> out(n);
+    for (auto& iv : out) {
+      double l = rng.next_double();
+      iv = Interval{l, l + rng.next_double() * 0.01, next_id++};
+    }
+    return out;
+  };
+  auto first = fresh(4096);
+  ASSERT_TRUE(t.bulk_insert(first).ok());
+  alive.assign(first.begin(), first.end());
+  for (int epoch = 0; epoch < 300; ++epoch) {
+    std::vector<Interval> gone(alive.begin(), alive.begin() + 128);
+    alive.erase(alive.begin(), alive.begin() + 128);
+    auto erased = t.bulk_erase(gone);
+    ASSERT_TRUE(erased.ok());
+    ASSERT_EQ(erased.value(), gone.size());
+    auto batch = fresh(128);
+    ASSERT_TRUE(t.bulk_insert(batch).ok());
+    alive.insert(alive.end(), batch.begin(), batch.end());
+    ASSERT_EQ(t.size(), 4096u);
+    ASSERT_LE(t.forest_nodes(), 2 * (2 * t.size())) << "epoch " << epoch;
+  }
+  EXPECT_TRUE(t.validate());
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Inner-tree (treap) and tournament-tree tests: BST/heap invariants,
 // duplicate keys, reporting with early exit, the O(1)-expected-rotation
-// property, and the Appendix A
+// property, many treaps sharing one TreapForest pool, and the Appendix A
 // tournament-tree queries with scoped deletions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/augtree/tournament.h"
 #include "src/augtree/treap.h"
@@ -137,6 +141,100 @@ TEST(Treap, UpdateWritesAreConstantExpected) {
   asym::Region r;
   for (size_t i = n / 2; i < n; ++i) t.insert(rng.next_double(), uint32_t(i));
   EXPECT_LT(double(r.delta().writes) / double(n / 2), 8.0);
+}
+
+TEST(TreapForest, ManyRootsMatchSetOracle) {
+  // 64 treaps in one pool under interleaved insert/erase (hits, misses and
+  // duplicate keys), each checked against a std::set after every round.
+  constexpr size_t kRoots = 64;
+  TreapForest f;
+  std::vector<uint32_t> roots(kRoots, TreapForest::kNull);
+  std::map<size_t, std::set<std::pair<double, uint32_t>>> oracle;
+  primitives::Rng rng(5);
+  size_t live = 0, peak = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int op = 0; op < 400; ++op) {
+      size_t t = rng.next_bounded(kRoots);
+      auto& set = oracle[t];
+      if (rng.next_bounded(3) != 0 || set.empty()) {
+        double key = double(rng.next_bounded(50)) / 8.0;  // many duplicates
+        uint32_t item = uint32_t(rng.next_bounded(1u << 20));
+        if (set.insert({key, item}).second) {
+          f.insert(roots[t], key, item);
+          ++live;
+        }
+      } else if (rng.next_bounded(4) == 0) {
+        // Miss: matching key, item absent.
+        EXPECT_FALSE(f.erase(roots[t], set.begin()->first, 1u << 21));
+      } else {
+        auto it = std::next(set.begin(), long(rng.next_bounded(set.size())));
+        EXPECT_TRUE(f.erase(roots[t], it->first, it->second));
+        set.erase(it);
+        --live;
+      }
+      peak = std::max(peak, live);
+    }
+    for (size_t t = 0; t < kRoots; ++t) {
+      ASSERT_TRUE(f.validate(roots[t])) << "root " << t;
+      std::vector<std::pair<double, uint32_t>> got;
+      f.for_each(roots[t], [&](double k, uint32_t i) { got.emplace_back(k, i); });
+      std::vector<std::pair<double, uint32_t>> want(oracle[t].begin(),
+                                                     oracle[t].end());
+      ASSERT_EQ(got, want) << "root " << t << " round " << round;
+    }
+  }
+  // Erased nodes are reused: the pool never exceeds the peak live count.
+  EXPECT_LE(f.num_nodes(), peak);
+}
+
+TEST(TreapForest, FreedTreesAreReused) {
+  TreapForest f;
+  primitives::Rng rng(6);
+  uint32_t a = TreapForest::kNull, b = TreapForest::kNull;
+  for (uint32_t i = 0; i < 1000; ++i) f.insert(a, rng.next_double(), i);
+  for (uint32_t i = 0; i < 500; ++i) f.insert(b, rng.next_double(), i);
+  ASSERT_EQ(f.num_nodes(), 1500u);
+  f.free_tree(a);
+  EXPECT_EQ(a, TreapForest::kNull);
+  EXPECT_TRUE(f.validate(b));
+  size_t seen = 0;
+  f.for_each(b, [&](double, uint32_t) { ++seen; });
+  EXPECT_EQ(seen, 500u);
+  // A rebuilt tree fills the freed slots, from_sorted included.
+  std::vector<std::pair<double, uint32_t>> es;
+  for (uint32_t i = 0; i < 600; ++i) es.emplace_back(double(i), i);
+  uint32_t c = f.from_sorted(es);
+  for (uint32_t i = 0; i < 400; ++i) f.insert(a, double(i), i);
+  EXPECT_EQ(f.num_nodes(), 1500u);
+  EXPECT_TRUE(f.validate(a) && f.validate(b) && f.validate(c));
+  f.clear();
+  EXPECT_EQ(f.num_nodes(), 0u);
+}
+
+TEST(TreapForest, ShapeIndependentOfSlots) {
+  // Priorities hash (key, item) only, so a treap built in a fresh pool and
+  // one built from recycled slots report identically with identical reads.
+  TreapForest fresh, reused;
+  uint32_t junk = TreapForest::kNull;
+  for (uint32_t i = 0; i < 3000; ++i) reused.insert(junk, double(i % 97), i);
+  reused.free_tree(junk);
+  uint32_t r1 = TreapForest::kNull, r2 = TreapForest::kNull;
+  primitives::Rng rng(7);
+  for (uint32_t i = 0; i < 2000; ++i) {
+    double k = rng.next_double();
+    fresh.insert(r1, k, i);
+    reused.insert(r2, k, i);
+  }
+  EXPECT_EQ(fresh.depth(r1), reused.depth(r2));
+  std::vector<uint32_t> o1, o2;
+  asym::Region g1;
+  fresh.report_geq(r1, 0.5, [&](double, uint32_t i) { o1.push_back(i); });
+  auto c1 = g1.delta();
+  asym::Region g2;
+  reused.report_geq(r2, 0.5, [&](double, uint32_t i) { o2.push_back(i); });
+  auto c2 = g2.delta();
+  EXPECT_EQ(o1, o2);
+  EXPECT_EQ(c1.reads, c2.reads);
 }
 
 TEST(Tournament, RangeArgmaxAndCounts) {
